@@ -26,6 +26,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .complex4 import AXES, Chain, boundary, pair
+from .complex4 import AXES, METRIC, Chain, boundary, pair, tau_all
 from .forms import (
     DiscreteForm,
     InhomogeneousForm,
@@ -47,7 +48,6 @@ from .forms import (
     star_d_star,
 )
 from .clifford import ALL_BLADES, clifford_mul, unit_form
-from .complex4 import tau_all
 from .dirac_joyce import (
     decomposition,
     dirac_kahler_apply,
@@ -107,6 +107,11 @@ class SuiteConfig:
             raise ConfigInvalid(f"tolerance must be positive, got {self.tol}")
         if not self.mass > 0:
             raise ConfigInvalid(f"mass must be positive, got {self.mass}")
+        for name in ("tol", "mass", "p", "spatial", "grid"):
+            value = getattr(self, name)
+            values = (value,) if isinstance(value, (int, float)) else value
+            if not all(map(math.isfinite, values or ())):
+                raise ConfigInvalid(f"{name} must be finite, got {value}")
         if self.p is not None and self.spatial is not None:
             raise ConfigInvalid("give either --p or --spatial, not both")
         if self.branch not in ("+", "-"):
@@ -291,7 +296,6 @@ def check_star_d_star_shift(cfg, rng):
 
 
 def check_clifford_anticommutators(cfg, rng):
-    metric = {0: 1, 1: -1, 2: -1, 3: -1}
     win = Window((3, 3, 3, 3))
     x = unit_form((), win)
     failures = 0
@@ -300,7 +304,7 @@ def check_clifford_anticommutators(cfg, rng):
             e_mu = unit_form((mu,), win)
             e_nu = unit_form((nu,), win)
             lhs = clifford_mul(e_mu, e_nu) + clifford_mul(e_nu, e_mu)
-            g = 2 * metric[mu] if mu == nu else 0
+            g = 2 * METRIC[mu] if mu == nu else 0
             if lhs != g * x:
                 failures += 1
     return _max_le(failures, 0.5)
@@ -586,9 +590,11 @@ def format_report(report: dict, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _parse_tuple(text: str, n: int, cast, what: str):
+def _parse_tuple(text: str, n: Optional[int], cast, what: str):
+    """Comma-separated values; exactly ``n`` of them, or any number >= 1
+    when ``n`` is None."""
     parts = text.split(",")
-    if len(parts) != n:
+    if n is not None and len(parts) != n:
         raise ConfigInvalid(f"{what} needs {n} comma-separated values")
     try:
         return tuple(cast(x) for x in parts)
@@ -599,29 +605,9 @@ def _parse_tuple(text: str, n: int, cast, what: str):
 def _load_amplitudes(path: str) -> EvenAmplitudes:
     with open(path) as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"amplitudes file: invalid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigInvalid("amplitudes file must be a JSON object")
-    fields = ("alpha0", "alpha01", "alpha02", "alpha03",
-              "alpha12", "alpha13", "alpha23", "alpha4")
-    unknown = set(data) - set(fields)
-    if unknown:
-        raise ConfigInvalid(f"unknown amplitude keys {sorted(unknown)}")
-    vals = []
-    for name in fields:
-        v = data.get(name, 0)
-        if isinstance(v, (int, float)):
-            vals.append(complex(v))
-        elif isinstance(v, list) and len(v) == 2 \
-                and all(isinstance(x, (int, float)) for x in v):
-            vals.append(complex(v[0], v[1]))
-        else:
-            raise ConfigInvalid(
-                f"amplitude {name} must be a number or [re, im] pair"
-            )
-    return EvenAmplitudes(*vals)
+            return EvenAmplitudes.from_json(json.load(fh))
+        except ValueError as exc:
+            raise ConfigInvalid(f"amplitudes file: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -673,9 +659,7 @@ def config_from_args(args) -> SuiteConfig:
     spatial = None if args.spatial is None else _parse_tuple(
         args.spatial, 3, float, "--spatial"
     )
-    grid = tuple(float(x) for x in args.grid.split(","))
-    if not grid:
-        raise ConfigInvalid("--grid needs at least one value")
+    grid = _parse_tuple(args.grid, None, float, "--grid")
     amplitudes = None
     if args.amplitudes is not None:
         amplitudes = _load_amplitudes(args.amplitudes)

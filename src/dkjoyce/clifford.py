@@ -10,57 +10,18 @@ into the algebra of inhomogeneous forms used by the Dirac-Kahler and Joyce
 operators; for operator pipelines the helpers :func:`blade_lmul` and
 :func:`blade_rmul` apply an implicit infinite-support unit blade instead,
 avoiding window truncation.
+
+The blade products come from the one table in :mod:`dkjoyce.complex4`;
+:data:`ALL_BLADES` and :func:`blade_product` are re-exported from there.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Tuple
 
-from .complex4 import AXES, DirectionSet, normalize_dirs
+from .complex4 import _BLADE_TABLE, ALL_BLADES, normalize_dirs
+from .complex4 import blade_product  # noqa: F401  (re-exported)
 from .forms import DiscreteForm, InhomogeneousForm, Window
-
-_METRIC = {0: 1, 1: -1, 2: -1, 3: -1}
-
-ALL_BLADES = tuple(
-    blade
-    for r in range(5)
-    for blade in itertools.combinations(AXES, r)
-)
-
-
-def _blade_product(a: DirectionSet, b: DirectionSet) -> Tuple[int, DirectionSet]:
-    """Multiply two blades: sort the concatenated index word counting
-    transpositions, then cancel repeated indices against the metric."""
-    word = list(a) + list(b)
-    sign = 1
-    # insertion sort; the swap count gives the reordering sign
-    for i in range(1, len(word)):
-        j = i
-        while j > 0 and word[j - 1] > word[j]:
-            word[j - 1], word[j] = word[j], word[j - 1]
-            sign = -sign
-            j -= 1
-    out = []
-    i = 0
-    while i < len(word):
-        if i + 1 < len(word) and word[i] == word[i + 1]:
-            sign *= _METRIC[word[i]]
-            i += 2
-        else:
-            out.append(word[i])
-            i += 1
-    return sign, tuple(out)
-
-
-_BLADE_TABLE = {
-    (a, b): _blade_product(a, b) for a in ALL_BLADES for b in ALL_BLADES
-}
-
-
-def blade_product(a: DirectionSet, b: DirectionSet) -> Tuple[int, DirectionSet]:
-    """Signed product of two basis blades (direction sets)."""
-    return _BLADE_TABLE[(a, b)]
 
 
 def clifford_basis_product(a_key, b_key) -> Optional[Tuple[int, tuple]]:
@@ -98,32 +59,31 @@ def clifford_mul(
     return InhomogeneousForm.from_coeffs(out)
 
 
-def blade_lmul(blade, A, scalar=1):
-    """Left-multiply by the implicit unit form of ``blade`` (all sites)."""
-    blade = normalize_dirs(blade)
+def _blade_mul(A, row: dict, scalar) -> InhomogeneousForm:
+    """Apply ``d -> row[d]`` (sign, image blade) to every stored coefficient."""
     out: dict = {}
     for (k, d), c in A.items():
-        sign, nb = _BLADE_TABLE[(blade, d)]
+        sign, nb = row[d]
         prod = scalar * c
         if sign < 0:
             prod = -prod
         key = (k, nb)
         out[key] = out.get(key, 0) + prod
     return InhomogeneousForm.from_coeffs(out)
+
+
+def blade_lmul(blade, A, scalar=1):
+    """Left-multiply by the implicit unit form of ``blade`` (all sites)."""
+    blade = normalize_dirs(blade)
+    return _blade_mul(A, {d: _BLADE_TABLE[(blade, d)] for d in ALL_BLADES},
+                      scalar)
 
 
 def blade_rmul(A, blade, scalar=1):
     """Right-multiply by the implicit unit form of ``blade`` (all sites)."""
     blade = normalize_dirs(blade)
-    out: dict = {}
-    for (k, d), c in A.items():
-        sign, nb = _BLADE_TABLE[(d, blade)]
-        prod = scalar * c
-        if sign < 0:
-            prod = -prod
-        key = (k, nb)
-        out[key] = out.get(key, 0) + prod
-    return InhomogeneousForm.from_coeffs(out)
+    return _blade_mul(A, {d: _BLADE_TABLE[(d, blade)] for d in ALL_BLADES},
+                      scalar)
 
 
 def unit_form(dirs, win: Window) -> InhomogeneousForm:

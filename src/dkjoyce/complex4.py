@@ -8,16 +8,66 @@ dimension is the size of the direction set.
 
 Chains live downstairs, cochains (discrete forms, see :mod:`dkjoyce.forms`)
 upstairs; the two are connected by a perfect pairing on basis elements.
+
+Direction sets double as the basis blades of the spacetime Clifford algebra.
+The one blade product table :data:`_BLADE_TABLE` built here is the source
+of every sign the operators use: the coboundary, codifferential, cup
+product and Hodge star in :mod:`dkjoyce.forms` and the Clifford products in
+:mod:`dkjoyce.clifford` all read it.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Tuple
 
 AXES = (0, 1, 2, 3)
 
+#: Lorentzian metric diag(1, -1, -1, -1); axis 0 is time
+METRIC = {0: 1, 1: -1, 2: -1, 3: -1}
+
 MultiIndex = Tuple[int, int, int, int]
 DirectionSet = Tuple[int, ...]
+
+ALL_BLADES = tuple(
+    blade
+    for r in range(5)
+    for blade in itertools.combinations(AXES, r)
+)
+
+
+def _blade_product(a: DirectionSet, b: DirectionSet) -> Tuple[int, DirectionSet]:
+    """Multiply two blades: sort the concatenated index word counting
+    transpositions, then cancel repeated indices against the metric."""
+    word = list(a) + list(b)
+    sign = 1
+    # insertion sort; the swap count gives the reordering sign
+    for i in range(1, len(word)):
+        j = i
+        while j > 0 and word[j - 1] > word[j]:
+            word[j - 1], word[j] = word[j], word[j - 1]
+            sign = -sign
+            j -= 1
+    out = []
+    i = 0
+    while i < len(word):
+        if i + 1 < len(word) and word[i] == word[i + 1]:
+            sign *= METRIC[word[i]]
+            i += 2
+        else:
+            out.append(word[i])
+            i += 1
+    return sign, tuple(out)
+
+
+_BLADE_TABLE = {
+    (a, b): _blade_product(a, b) for a in ALL_BLADES for b in ALL_BLADES
+}
+
+
+def blade_product(a: DirectionSet, b: DirectionSet) -> Tuple[int, DirectionSet]:
+    """Signed product of two basis blades (direction sets)."""
+    return _BLADE_TABLE[(a, b)]
 
 
 def tau_shift(k: MultiIndex, mu: int) -> MultiIndex:
@@ -33,11 +83,6 @@ def sigma_shift(k: MultiIndex, mu: int) -> MultiIndex:
 def tau_all(k: MultiIndex) -> MultiIndex:
     """Increment every component of ``k``."""
     return tuple(x + 1 for x in k)
-
-
-def sigma_all(k: MultiIndex) -> MultiIndex:
-    """Decrement every component of ``k``."""
-    return tuple(x - 1 for x in k)
 
 
 def normalize_dirs(dirs: Iterable[int]) -> DirectionSet:

@@ -25,6 +25,7 @@ from .forms import (
     forward_diff,
 )
 from .clifford import blade_lmul, blade_rmul, grade_project
+from .serialize import form_to_records
 
 
 class NotEven(ValueError):
@@ -43,7 +44,9 @@ class ResidualReport:
 
     Residual-zero guarantees only apply on interior sites (one-cell margin
     from every window face); fringe sites pick up truncation terms from the
-    zero extension outside the window.
+    zero extension outside the window.  ``per_site`` holds the residual's
+    coefficient records in the :func:`dkjoyce.serialize.form_to_records`
+    schema.
     """
 
     grade_max: List[float]
@@ -59,7 +62,6 @@ class ResidualReport:
         gl2 = [0.0] * 5
         interior = 0.0
         fringe = 0.0
-        table = [] if per_site else None
         for (k, dirs), c in R.items():
             a = abs(c)
             r = len(dirs)
@@ -69,13 +71,7 @@ class ResidualReport:
                 interior = max(interior, a)
             else:
                 fringe = max(fringe, a)
-            if per_site:
-                z = complex(c)
-                table.append(
-                    {"k": list(k), "dirs": list(dirs), "re": z.real, "im": z.imag}
-                )
-        if per_site:
-            table.sort(key=lambda rec: (rec["k"], rec["dirs"]))
+        table = form_to_records(R) if per_site else None
         return cls([*gmax], [math.sqrt(x) for x in gl2], interior, fringe, table)
 
     def is_zero(self) -> bool:
@@ -150,6 +146,12 @@ def dk_residual(O: InhomogeneousForm, m: float, win: Window,
     return ResidualReport.from_form(R, win, per_site=per_site)
 
 
+def joyce_residual_form(Oev: InhomogeneousForm, m: float) -> InhomogeneousForm:
+    """The raw Joyce residual form i(d + delta)Oev - m Oev e_0 (linear in Oev)."""
+    rhs = joyce_apply_rhs(Oev, m)
+    return dirac_kahler_apply(Oev) - rhs
+
+
 def joyce_residual(Oev: InhomogeneousForm, m: float, win: Window,
                    per_site: bool = False) -> ResidualReport:
     """Residual of the Joyce equation: i(d + delta)Oev - m Oev e_0.
@@ -157,17 +159,8 @@ def joyce_residual(Oev: InhomogeneousForm, m: float, win: Window,
     Odd grades of the left side enter the residual; they must vanish for a
     solution.
     """
-    check_mass(m)
-    _require_even(Oev)
-    R = dirac_kahler_apply(Oev) - blade_rmul(Oev, (0,), m)
-    return ResidualReport.from_form(R, win, per_site=per_site)
-
-
-def joyce_residual_form(Oev: InhomogeneousForm, m: float) -> InhomogeneousForm:
-    """The raw Joyce residual form (linear in Oev)."""
-    check_mass(m)
-    _require_even(Oev)
-    return dirac_kahler_apply(Oev) - blade_rmul(Oev, (0,), m)
+    return ResidualReport.from_form(joyce_residual_form(Oev, m), win,
+                                    per_site=per_site)
 
 
 # ---------------------------------------------------------------------------

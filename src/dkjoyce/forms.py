@@ -8,7 +8,11 @@ unchanged over ``complex`` and over the exact
 :class:`~dkjoyce.scalars.GaussianRational`.
 
 Sign conventions are Lorentzian: the time axis is 0 and the metric is
-diag(1, -1, -1, -1).
+diag(1, -1, -1, -1).  Every operator sign is an entry of the blade product
+table of :mod:`dkjoyce.complex4`: d is the grade-raising part of
+sum_mu e_mu Delta+_mu, delta the grade-lowering part of sum_mu e_mu Delta-_mu,
+the cup sign of two disjoint blades is their Clifford product sign, and the
+Hodge star sign follows from its defining relation s cup *s = Q e.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
 
 from .complex4 import (
+    _BLADE_TABLE,
+    ALL_BLADES,
     AXES,
     DirectionSet,
     MultiIndex,
@@ -113,18 +119,12 @@ class InhomogeneousForm:
     __slots__ = ("parts",)
 
     def __init__(self, parts=None):
-        self.parts = tuple(
-            (parts or {}).get(r, None) or DiscreteForm.zero(r) for r in range(5)
-        ) if isinstance(parts, dict) else self._from_seq(parts)
-
-    @staticmethod
-    def _from_seq(parts):
         if parts is None:
-            return tuple(DiscreteForm.zero(r) for r in range(5))
+            parts = [DiscreteForm.zero(r) for r in range(5)]
         parts = tuple(parts)
         if len(parts) != 5 or any(p.degree != r for r, p in enumerate(parts)):
             raise ValueError("need five parts of degrees 0..4 in order")
-        return parts
+        self.parts = parts
 
     @classmethod
     def zero(cls) -> "InhomogeneousForm":
@@ -204,70 +204,66 @@ class Window:
 
 
 # ---------------------------------------------------------------------------
-# difference operators
+# difference operators, coboundary and codifferential
+#
+# Each operator here is a stencil over routes ``dirs -> [(mu, sign, image
+# blade)]``: every coefficient adds ``sign * Delta_mu`` of itself onto the
+# image blade, with the forward or the backward difference.  A plain
+# difference keeps the blade; d and delta take their routes from the blade
+# products e_mu * dirs that raise or lower the grade.
+
+def _routes(raising: bool) -> dict:
+    """Per source blade, the (axis, sign, image blade) of e_mu times it,
+    keeping the products that raise (or lower) the grade."""
+    return {
+        dirs: [(mu,) + _BLADE_TABLE[((mu,), dirs)]
+               for mu in AXES if (mu in dirs) != raising]
+        for dirs in ALL_BLADES
+    }
+
+
+_RAISE = _routes(raising=True)
+_LOWER = _routes(raising=False)
+# the plain difference along each axis
+_ALONG = [{dirs: [(mu, 1, dirs)] for dirs in ALL_BLADES} for mu in AXES]
+
+
+def _stencil(w: DiscreteForm, routes: dict, forward: bool,
+             degree: int) -> DiscreteForm:
+    out: dict = {}
+    for (k, dirs), c in w.items():
+        for mu, sign, nd in routes[dirs]:
+            s = c if sign > 0 else -c
+            if forward:
+                lo, hi = (sigma_shift(k, mu), nd), (k, nd)
+            else:
+                lo, hi = (k, nd), (tau_shift(k, mu), nd)
+            out[lo] = out.get(lo, 0) + s
+            out[hi] = out.get(hi, 0) - s
+    return DiscreteForm(degree, out)
+
 
 def forward_diff(w: DiscreteForm, mu: int) -> DiscreteForm:
     """Forward difference on every coefficient function, zero extension."""
-    out: dict = {}
-    for (k, dirs), c in w.items():
-        dn = (sigma_shift(k, mu), dirs)
-        out[dn] = out.get(dn, 0) + c
-        up = (k, dirs)
-        out[up] = out.get(up, 0) - c
-    return DiscreteForm(w.degree, out)
+    return _stencil(w, _ALONG[mu], True, w.degree)
 
 
 def backward_diff(w: DiscreteForm, mu: int) -> DiscreteForm:
     """Backward difference on every coefficient function, zero extension."""
-    out: dict = {}
-    for (k, dirs), c in w.items():
-        here = (k, dirs)
-        out[here] = out.get(here, 0) + c
-        up = (tau_shift(k, mu), dirs)
-        out[up] = out.get(up, 0) - c
-    return DiscreteForm(w.degree, out)
-
-
-# ---------------------------------------------------------------------------
-# coboundary and codifferential
-
-_METRIC = {0: 1, 1: -1, 2: -1, 3: -1}
+    return _stencil(w, _ALONG[mu], False, w.degree)
 
 
 def _coboundary_form(w: DiscreteForm) -> DiscreteForm:
     if w.degree == 4:
         # top degree: no room to raise, the image is the zero form
         return DiscreteForm.zero(4)
-    out: dict = {}
-    for (k, dirs), c in w.items():
-        for mu in AXES:
-            if mu in dirs:
-                continue
-            pos = sum(1 for nu in dirs if nu < mu)
-            s = c if pos % 2 == 0 else -c
-            nd = tuple(sorted(dirs + (mu,)))
-            lo = (sigma_shift(k, mu), nd)
-            out[lo] = out.get(lo, 0) + s
-            hi = (k, nd)
-            out[hi] = out.get(hi, 0) - s
-    return DiscreteForm(w.degree + 1, out)
+    return _stencil(w, _RAISE, True, w.degree + 1)
 
 
 def _codifferential_form(w: DiscreteForm) -> DiscreteForm:
     if w.degree == 0:
         return DiscreteForm.zero(0)
-    out: dict = {}
-    for (k, dirs), c in w.items():
-        for pos, mu in enumerate(dirs):
-            s = c if pos % 2 == 0 else -c
-            if _METRIC[mu] < 0:
-                s = -s
-            nd = tuple(nu for nu in dirs if nu != mu)
-            here = (k, nd)
-            out[here] = out.get(here, 0) + s
-            up = (tau_shift(k, mu), nd)
-            out[up] = out.get(up, 0) - s
-    return DiscreteForm(w.degree - 1, out)
+    return _stencil(w, _LOWER, False, w.degree - 1)
 
 
 def coboundary(w):
@@ -306,7 +302,8 @@ def cup(u: DiscreteForm, v: DiscreteForm) -> DiscreteForm:
     Per axis, a left interval factor at position kappa matches a right point
     factor at kappa+1, a left point at kappa matches a right interval or
     point at kappa; any other per-axis combination kills the whole product.
-    Crossing factors contribute the usual alternating (Koszul) sign.
+    Overlapping direction sets give zero; disjoint ones carry the sign of
+    their blade product (the Koszul sign of the crossing factors).
     """
     deg = u.degree + v.degree
     if deg > 4:
@@ -319,15 +316,12 @@ def cup(u: DiscreteForm, v: DiscreteForm) -> DiscreteForm:
     for (k, du), cu in u.items():
         l = tuple(k[mu] + 1 if mu in du else k[mu] for mu in AXES)
         for dv, cv in by_site.get(l, ()):
-            if any(mu in du for mu in dv):
+            sign, nd = _BLADE_TABLE[(du, dv)]
+            if len(nd) != deg:
                 continue
-            crossings = sum(
-                1 for mu in dv for nu in du if nu > mu
-            )
             prod = cu * cv
-            if crossings % 2:
+            if sign < 0:
                 prod = -prod
-            nd = tuple(sorted(du + dv))
             out[(k, nd)] = out.get((k, nd), 0) + prod
     return DiscreteForm(deg, out)
 
@@ -339,14 +333,17 @@ def _complement(dirs: DirectionSet) -> DirectionSet:
     return tuple(mu for mu in AXES if mu not in dirs)
 
 
+def _lorentz_sign(dirs: DirectionSet) -> int:
+    return -1 if 0 in dirs else 1
+
+
 # sign of *s for each source direction set; the image direction set is the
 # complement and the image index is shifted by tau along the source dirs.
+# s cup *s = Q(s) e with the cup sign of s and its complement, so the star
+# sign is Q(s) times that blade product sign.
 STAR_SIGN = {
-    (): 1,
-    (0,): -1, (1,): -1, (2,): 1, (3,): -1,
-    (0, 1): -1, (0, 2): 1, (0, 3): -1, (1, 2): 1, (1, 3): -1, (2, 3): 1,
-    (0, 1, 2): -1, (0, 1, 3): 1, (0, 2, 3): -1, (1, 2, 3): -1,
-    (0, 1, 2, 3): -1,
+    s: _lorentz_sign(s) * _BLADE_TABLE[(s, _complement(s))][0]
+    for s in ALL_BLADES
 }
 
 
@@ -389,10 +386,6 @@ def star_d_star(w: DiscreteForm) -> DiscreteForm:
 
 # ---------------------------------------------------------------------------
 # inner product and Laplacian
-
-def _lorentz_sign(dirs: DirectionSet) -> int:
-    return -1 if 0 in dirs else 1
-
 
 def inner_product(u: DiscreteForm, v: DiscreteForm, win: Window) -> complex:
     """Window inner product (u, v) over the finite cell block.

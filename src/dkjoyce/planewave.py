@@ -16,7 +16,7 @@ oracle for the transcribed system).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -25,19 +25,11 @@ from .complex4 import AXES, MultiIndex
 from .forms import DiscreteForm, InhomogeneousForm, Window, backward_diff, \
     coboundary, codifferential, forward_diff
 from .clifford import blade_lmul, blade_product
-from .dirac_joyce import check_mass
+from .dirac_joyce import ResidualReport, check_mass
 
 Momentum = Tuple[float, float, float, float]
 
 WAVE_LABELS = ("0", "01", "02", "03", "12", "13", "23", "4")
-
-#: axes carrying a (1-ip)^(-k) factor, per wave label
-MINUS_AXES: Dict[str, Tuple[int, ...]] = {
-    "0": (),
-    "01": (0, 1), "02": (0, 2), "03": (0, 3),
-    "12": (1, 2), "13": (1, 3), "23": (2, 3),
-    "4": (0, 1, 2, 3),
-}
 
 #: blade attached to each wave label in the even wave form
 LABEL_BLADES: Dict[str, Tuple[int, ...]] = {
@@ -46,6 +38,10 @@ LABEL_BLADES: Dict[str, Tuple[int, ...]] = {
     "12": (1, 2), "13": (1, 3), "23": (2, 3),
     "4": (0, 1, 2, 3),
 }
+
+#: axes carrying a (1-ip)^(-k) factor, per wave label: a wave's minus axes
+#: are exactly the axes of its own blade
+MINUS_AXES = LABEL_BLADES
 
 DEGENERATE_TOL = 1e-9
 DISPERSION_TOL = 1e-9
@@ -73,15 +69,43 @@ class EvenAmplitudes:
     alpha4: complex = 0
 
     def as_vector(self) -> np.ndarray:
-        return np.array(
-            [self.alpha0, self.alpha01, self.alpha02, self.alpha03,
-             self.alpha12, self.alpha13, self.alpha23, self.alpha4],
-            dtype=complex,
-        )
+        return np.array(astuple(self), dtype=complex)
 
     @classmethod
     def from_vector(cls, v: Sequence[complex]) -> "EvenAmplitudes":
         return cls(*[complex(x) for x in v])
+
+    @classmethod
+    def from_json(cls, data) -> "EvenAmplitudes":
+        """Parse a JSON object of amplitudes, e.g. ``{"alpha0": [1, 0]}``.
+
+        Each value is a finite number or an ``[re, im]`` pair of finite
+        numbers; absent names are zero and unknown names are rejected.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("amplitudes must be a JSON object")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown amplitude keys {sorted(unknown)}")
+        vals = {}
+        for name, v in data.items():
+            pair = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0)
+            if not all(map(_finite_number, pair)):
+                raise ValueError(
+                    f"amplitude {name} must be a finite number or [re, im] pair"
+                )
+            vals[name] = complex(*pair)
+        return cls(**vals)
+
+
+def _finite_number(x) -> bool:
+    """True for an int or float (not a bool) with a finite float value."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def solve_p0(spatial: Sequence[float], m: float, branch: str) -> float:
@@ -140,11 +164,8 @@ def eigen_difference_check(label: str, p: Momentum, win: Window) -> float:
     worst = 0.0
     for mu in AXES:
         diff = backward_diff(psi, mu) if mu in minus else forward_diff(psi, mu)
-        expect = (1j * p[mu]) * psi
-        delta = diff - expect
-        for (k, _d), c in delta.items():
-            if win.is_interior(k):
-                worst = max(worst, abs(c))
+        delta = diff - (1j * p[mu]) * psi
+        worst = max(worst, ResidualReport.from_form(delta, win).interior_max)
     return worst
 
 
@@ -170,12 +191,7 @@ def eigen_relation_residual(Phi: InhomogeneousForm, p: Momentum,
     for mu in AXES:
         if p[mu] != 0:
             rhs = rhs + blade_lmul((mu,), Phi, 1j * p[mu])
-    delta = lhs - rhs
-    worst = 0.0
-    for (k, _d), c in delta.items():
-        if win.is_interior(k):
-            worst = max(worst, abs(c))
-    return worst
+    return ResidualReport.from_form(lhs - rhs, win).interior_max
 
 
 # ---------------------------------------------------------------------------
@@ -412,33 +428,35 @@ class PlaneWaveSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlaneWaveSpec":
+        """Parse a spec.  ``p`` is four components, or ``{"spatial": [...],
+        "branch": "+"|"-"}`` with p0 solved for the mass ``m``; an optional
+        ``p["mass"]`` must equal ``m``."""
         try:
             m = float(data["m"])
             raw_p = data["p"]
             if isinstance(raw_p, dict):
-                p = (solve_p0(raw_p["spatial"], float(raw_p["mass"]),
-                              raw_p["branch"]),) + tuple(
-                    float(x) for x in raw_p["spatial"]
-                )
+                if "mass" in raw_p and float(raw_p["mass"]) != m:
+                    raise ValueError(
+                        f"p mass {raw_p['mass']!r} differs from m {m!r}"
+                    )
+                spatial = tuple(float(x) for x in raw_p["spatial"])
+                p = (solve_p0(spatial, m, raw_p["branch"]),) + spatial
             else:
                 p = tuple(float(x) for x in raw_p)
-                if len(p) != 4:
-                    raise ValueError("p needs four components")
-            amps = data.get("amplitudes", {})
-            vals = {}
-            for name in ("alpha0", "alpha01", "alpha02", "alpha03",
-                         "alpha12", "alpha13", "alpha23", "alpha4"):
-                re, im = amps.get(name, (0, 0))
-                vals[name] = complex(re, im)
+            if len(p) != 4:
+                raise ValueError("p needs four components")
+            if not all(map(math.isfinite, (m,) + p)):
+                raise ValueError("m and p must be finite")
+            amplitudes = EvenAmplitudes.from_json(data.get("amplitudes", {}))
             window = tuple(int(x) for x in data["window"])
             if len(window) != 4:
                 raise ValueError("window needs four extents")
             family = data.get("family", "explicit")
             if family not in ("plus", "minus", "explicit"):
                 raise ValueError(f"unknown family {family!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid plane-wave spec: {exc}") from exc
-        return cls(p, m, EvenAmplitudes(**vals), window, family)
+        return cls(p, m, amplitudes, window, family)
 
     def build(self) -> InhomogeneousForm:
         win = Window(self.window)

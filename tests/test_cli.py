@@ -144,3 +144,27 @@ def test_text_and_csv_formats():
     assert "overall:" in text and "eq4.7-eigen-relation" in text
     out = format_report(report, "csv")
     assert out.splitlines()[0] == "name,status,value,threshold"
+
+
+@pytest.mark.parametrize("suite, extra", [
+    ("dispersion-scan", ["--grid", "0,abc"]),
+    ("dispersion-scan", ["--grid", ","]),
+    ("dispersion-scan", ["--grid", "0,nan"]),
+    ("planewave", ["--p", "nan,0,0,0"]),
+    ("planewave", ["--mass", "inf"]),
+    ("planewave", ["--spatial", "0,inf,0"]),
+    ("planewave", ["--tol", "inf"]),
+])
+def test_malformed_or_nonfinite_input_exit_code(suite, extra, capsys):
+    assert run(["run", "--suite", suite] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ['{"alpha4": [1, Infinity]}', '{'])
+def test_amplitudes_file_rejected(tmp_path, capsys, text):
+    amp = tmp_path / "amp.json"
+    amp.write_text(text)
+    assert run(["run", "--suite", "planewave", "--amplitudes", str(amp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -318,3 +318,34 @@ def test_plane_wave_spec_invalid():
     with pytest.raises(ValueError):
         PlaneWaveSpec.from_dict({"m": 1, "p": [1, 0, 0, 0],
                                  "window": [3] * 4, "family": "other"})
+
+
+def test_plane_wave_spec_mass_single_sourced():
+    base = {"m": 1, "window": [3, 3, 3, 3]}
+    spec = PlaneWaveSpec.from_dict(
+        {**base, "p": {"spatial": [0.5, 0, 0], "branch": "+"}})
+    assert spec.p == (math.sqrt(1.25), 0.5, 0.0, 0.0)
+    agreeing = PlaneWaveSpec.from_dict(
+        {**base, "p": {"spatial": [0.5, 0, 0], "mass": 1, "branch": "+"}})
+    assert agreeing.p == spec.p
+    with pytest.raises(ValueError, match="mass"):
+        PlaneWaveSpec.from_dict(
+            {**base, "p": {"spatial": [0, 0, 0], "mass": 5, "branch": "+"}})
+
+
+def test_plane_wave_spec_rejects_unknown_amplitude_key():
+    with pytest.raises(ValueError, match="alphaX"):
+        PlaneWaveSpec.from_dict({"m": 1, "p": [1, 0, 0, 0],
+                                 "window": [3] * 4,
+                                 "amplitudes": {"alphaX": [1, 0]}})
+
+
+def test_amplitude_parser_shapes():
+    got = EvenAmplitudes.from_json({"alpha0": 2, "alpha12": [0, -1.5]})
+    assert got == EvenAmplitudes(alpha0=2, alpha12=-1.5j)
+    assert EvenAmplitudes.from_json({}) == EvenAmplitudes()
+    for bad in ([1, 0], {"alpha0": [1, 2, 3]}, {"alpha0": "1"},
+                {"alpha0": True}, {"alpha0": float("nan")},
+                {"alpha4": [1, float("inf")]}, {"alpha01": 10 ** 400}):
+        with pytest.raises(ValueError):
+            EvenAmplitudes.from_json(bad)
