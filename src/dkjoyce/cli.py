@@ -112,10 +112,18 @@ class SuiteConfig:
             values = (value,) if isinstance(value, (int, float)) else value
             if not all(map(math.isfinite, values or ())):
                 raise ConfigInvalid(f"{name} must be finite, got {value}")
+            # squares enter the dispersion relation
+            if name != "tol" and not all(
+                    math.isfinite(x * x) for x in values or ()):
+                raise ConfigInvalid(f"{name} is too large to square, got {value}")
         if self.p is not None and self.spatial is not None:
             raise ConfigInvalid("give either --p or --spatial, not both")
         if self.branch not in ("+", "-"):
             raise ConfigInvalid(f"branch must be '+' or '-', got {self.branch!r}")
+        g = max(map(abs, self.grid), default=0.0)
+        for p0 in (self.momentum()[0], solve_p0((g, g, g), self.mass, "+")):
+            if not math.isfinite(p0 * p0):
+                raise ConfigInvalid(f"energy p0 = {p0} is too large to square")
 
     def momentum(self) -> Tuple[float, float, float, float]:
         if self.p is not None:

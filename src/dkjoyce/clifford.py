@@ -6,22 +6,22 @@ and ordered products concatenating into higher blades.  Basis elements at
 distinct sites multiply to zero, so products are computed sitewise.
 
 Unit forms (coefficient 1 on every site of a window) turn the blade algebra
-into the algebra of inhomogeneous forms used by the Dirac-Kahler and Joyce
-operators; for operator pipelines the helpers :func:`blade_lmul` and
-:func:`blade_rmul` apply an implicit infinite-support unit blade instead,
-avoiding window truncation.
-
-The blade products come from the one table in :mod:`dkjoyce.complex4`;
-:data:`ALL_BLADES` and :func:`blade_product` are re-exported from there.
+into the algebra of inhomogeneous forms; :func:`blade_lmul` and
+:func:`blade_rmul` apply an implicit unit blade on every site instead.  The
+signs come from the one table in :mod:`dkjoyce.complex4`.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Tuple
 
-from .complex4 import _BLADE_TABLE, ALL_BLADES, normalize_dirs
-from .complex4 import blade_product  # noqa: F401  (re-exported)
-from .forms import DiscreteForm, InhomogeneousForm, Window
+import numpy as np
+
+from .complex4 import _BLADE_TABLE, normalize_dirs
+from .complex4 import ALL_BLADES, blade_product  # noqa: F401  (re-exported)
+from .forms import DiscreteForm, InhomogeneousForm, Window, _assemble, \
+    _overlap, _parts
 
 
 def clifford_basis_product(a_key, b_key) -> Optional[Tuple[int, tuple]]:
@@ -40,57 +40,50 @@ def clifford_basis_product(a_key, b_key) -> Optional[Tuple[int, tuple]]:
 def clifford_mul(
     A: InhomogeneousForm, B: InhomogeneousForm
 ) -> InhomogeneousForm:
-    """Bilinear, sitewise extension of the basis blade product."""
-    by_site: dict = {}
-    for (k, db), cb in B.items():
-        by_site.setdefault(k, []).append((db, cb))
-    out: dict = {}
-    for (k, da), ca in A.items():
-        factors = by_site.get(k)
-        if not factors:
-            continue
-        for db, cb in factors:
-            sign, blade = _BLADE_TABLE[(da, db)]
-            prod = ca * cb
-            if sign < 0:
-                prod = -prod
-            key = (k, blade)
-            out[key] = out.get(key, 0) + prod
-    return InhomogeneousForm.from_coeffs(out)
+    """Bilinear, sitewise extension of the basis blade product.
+
+    Only the stored blade slices of each operand are multiplied, over the
+    common box of the two parts they belong to.
+    """
+    pieces = []
+    for a, b in itertools.product(*([p for p in X.parts if p.slots]
+                                     for X in (A, B))):
+        box = _overlap(a, b)
+        if box:
+            lo, av, bv = box
+            for (sa, da), (sb, db) in itertools.product(a.live(), b.live()):
+                sign, blade = _BLADE_TABLE[(da, db)]
+                pieces.append((blade, sign, lo, av[sa] * bv[sb]))
+    return _assemble(pieces)
 
 
-def _blade_mul(A, row: dict, scalar) -> InhomogeneousForm:
-    """Apply ``d -> row[d]`` (sign, image blade) to every stored coefficient."""
-    out: dict = {}
-    for (k, d), c in A.items():
-        sign, nb = row[d]
-        prod = scalar * c
-        if sign < 0:
-            prod = -prod
-        key = (k, nb)
-        out[key] = out.get(key, 0) + prod
-    return InhomogeneousForm.from_coeffs(out)
+def _blade_mul(A, blade, left: bool, scalar) -> InhomogeneousForm:
+    """Multiply every stored blade slice of ``A`` by ``blade`` on the left
+    (or right) and by ``scalar``."""
+    blade = normalize_dirs(blade)
+    pieces = []
+    for p in _parts(A):
+        data = p.data if scalar == 1 else scalar * p.data
+        for s, d in p.live():
+            sign, nb = _BLADE_TABLE[(blade, d) if left else (d, blade)]
+            pieces.append((nb, sign, p.origin, data[s]))
+    return _assemble(pieces)
 
 
 def blade_lmul(blade, A, scalar=1):
     """Left-multiply by the implicit unit form of ``blade`` (all sites)."""
-    blade = normalize_dirs(blade)
-    return _blade_mul(A, {d: _BLADE_TABLE[(blade, d)] for d in ALL_BLADES},
-                      scalar)
+    return _blade_mul(A, blade, True, scalar)
 
 
 def blade_rmul(A, blade, scalar=1):
     """Right-multiply by the implicit unit form of ``blade`` (all sites)."""
-    blade = normalize_dirs(blade)
-    return _blade_mul(A, {d: _BLADE_TABLE[(d, blade)] for d in ALL_BLADES},
-                      scalar)
+    return _blade_mul(A, blade, False, scalar)
 
 
 def unit_form(dirs, win: Window) -> InhomogeneousForm:
     """Unit form for a basis pattern: coefficient 1 on every window site."""
     d = normalize_dirs(dirs)
-    coeffs = {(k, d): 1 for k in win.sites()}
-    return InhomogeneousForm.from_form(DiscreteForm(len(d), coeffs))
+    return _assemble([(d, 1, (1, 1, 1, 1), np.ones(win.n, complex))])
 
 
 def grade_project(A: InhomogeneousForm, r: int) -> DiscreteForm:

@@ -9,11 +9,9 @@ dimension is the size of the direction set.
 Chains live downstairs, cochains (discrete forms, see :mod:`dkjoyce.forms`)
 upstairs; the two are connected by a perfect pairing on basis elements.
 
-Direction sets double as the basis blades of the spacetime Clifford algebra.
-The one blade product table :data:`_BLADE_TABLE` built here is the source
-of every sign the operators use: the coboundary, codifferential, cup
-product and Hodge star in :mod:`dkjoyce.forms` and the Clifford products in
-:mod:`dkjoyce.clifford` all read it.
+Direction sets double as the basis blades of the spacetime Clifford algebra;
+the blade product table :data:`_BLADE_TABLE` built here is the source of
+every operator sign in :mod:`dkjoyce.forms` and :mod:`dkjoyce.clifford`.
 """
 
 from __future__ import annotations
@@ -29,35 +27,21 @@ METRIC = {0: 1, 1: -1, 2: -1, 3: -1}
 MultiIndex = Tuple[int, int, int, int]
 DirectionSet = Tuple[int, ...]
 
-ALL_BLADES = tuple(
-    blade
-    for r in range(5)
-    for blade in itertools.combinations(AXES, r)
-)
+#: the blades of each grade in lexicographic order; a blade's position in
+#: its grade is its slot in a form's coefficient array
+GRADE_BLADES = tuple(tuple(itertools.combinations(AXES, r)) for r in range(5))
+ALL_BLADES = tuple(blade for grade in GRADE_BLADES for blade in grade)
+BLADE_SLOT = {blade: s for grade in GRADE_BLADES for s, blade in enumerate(grade)}
 
 
 def _blade_product(a: DirectionSet, b: DirectionSet) -> Tuple[int, DirectionSet]:
-    """Multiply two blades: sort the concatenated index word counting
-    transpositions, then cancel repeated indices against the metric."""
-    word = list(a) + list(b)
-    sign = 1
-    # insertion sort; the swap count gives the reordering sign
-    for i in range(1, len(word)):
-        j = i
-        while j > 0 and word[j - 1] > word[j]:
-            word[j - 1], word[j] = word[j], word[j - 1]
-            sign = -sign
-            j -= 1
-    out = []
-    i = 0
-    while i < len(word):
-        if i + 1 < len(word) and word[i] == word[i + 1]:
-            sign *= METRIC[word[i]]
-            i += 2
-        else:
-            out.append(word[i])
-            i += 1
-    return sign, tuple(out)
+    """Multiply two blades: sorting the word a + b takes one transposition
+    per inverted pair, then each index in both cancels against the metric."""
+    word = a + b
+    sign = (-1) ** sum(x > y for i, x in enumerate(word) for y in word[i + 1:])
+    for mu in set(a) & set(b):
+        sign *= METRIC[mu]
+    return sign, tuple(sorted(set(a) ^ set(b)))
 
 
 _BLADE_TABLE = {
@@ -115,10 +99,7 @@ class Chain:
         return Chain(out)
 
     def __sub__(self, other: "Chain") -> "Chain":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) - c
-        return Chain(out)
+        return self + (-1) * other
 
     def __rmul__(self, scalar) -> "Chain":
         return Chain({key: scalar * c for key, c in self.terms.items()})

@@ -14,11 +14,14 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+import numpy as np
+
 from .complex4 import AXES, sigma_shift, tau_shift
 from .forms import (
     DiscreteForm,
     InhomogeneousForm,
     Window,
+    _parts,
     backward_diff,
     coboundary,
     codifferential,
@@ -56,21 +59,27 @@ class ResidualReport:
     per_site: Optional[list] = field(default=None)
 
     @classmethod
-    def from_form(cls, R: InhomogeneousForm, win: Window,
+    def from_form(cls, R, win: Window,
                   per_site: bool = False) -> "ResidualReport":
         gmax = [0.0] * 5
         gl2 = [0.0] * 5
         interior = 0.0
         fringe = 0.0
-        for (k, dirs), c in R.items():
-            a = abs(c)
-            r = len(dirs)
-            gmax[r] = max(gmax[r], a)
-            gl2[r] += a * a
-            if win.is_interior(k):
-                interior = max(interior, a)
-            else:
-                fringe = max(fringe, a)
+        for part in _parts(R):
+            if not part.slots or not part.data.size:
+                continue
+            a = np.abs(part.data[list(part.slots)]).astype(float)
+            r = part.degree
+            gmax[r] = max(gmax[r], float(a.max()))
+            gl2[r] += float((a * a).sum())
+            site = a.max(axis=0)
+            # interior sites 2 <= k_mu <= n_mu - 1, as box indices
+            inner = tuple(slice(max(2 - o, 0), max(n - o, 0))
+                          for o, n in zip(part.origin, win.n))
+            if site[inner].size:
+                interior = max(interior, float(site[inner].max()))
+            site[inner] = 0.0
+            fringe = max(fringe, float(site.max()))
         table = form_to_records(R) if per_site else None
         return cls([*gmax], [math.sqrt(x) for x in gl2], interior, fringe, table)
 

@@ -1,38 +1,35 @@
-"""Sparse discrete forms and the calculus operators on the 4D lattice.
+"""Discrete forms as box arrays, and the calculus operators on the 4D lattice.
 
-A degree-r form stores a finite map ``(k, dirs) -> coefficient`` with
-``len(dirs) == r``; everything outside the stored support is zero.  The
-operators (differences, coboundary, cup product, Hodge star, codifferential,
-Laplacian) only combine coefficients with ring operations, so they work
-unchanged over ``complex`` and over the exact
-:class:`~dkjoyce.scalars.GaussianRational`.
+A degree-r form is an integer origin plus one array over the bounding box of
+its support, shaped ``(C(4, r), n0, n1, n2, n3)``: slot s holds the blade
+``GRADE_BLADES[r][s]``, index i the site ``origin + i``.  Storage is the
+whole box, so two coefficients far apart cost every site between them.  The
+array is complex128 when every coefficient given is a Python int, float or
+complex, else object, so the exact GaussianRational runs the same code.
 
-Sign conventions are Lorentzian: the time axis is 0 and the metric is
-diag(1, -1, -1, -1).  Every operator sign is an entry of the blade product
-table of :mod:`dkjoyce.complex4`: d is the grade-raising part of
-sum_mu e_mu Delta+_mu, delta the grade-lowering part of sum_mu e_mu Delta-_mu,
-the cup sign of two disjoint blades is their Clifford product sign, and the
-Hodge star sign follows from its defining relation s cup *s = Q e.
+Every operator sums signed, shifted blade slices (:func:`_accumulate`) whose
+signs come from the blade product table of :mod:`dkjoyce.complex4`: d is the
+grade-raising part of sum_mu e_mu Delta+_mu, delta the grade-lowering part
+of sum_mu e_mu Delta-_mu, a cup sign is the Clifford sign of two disjoint
+blades, and the Hodge star sign follows from s cup *s = Q e.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
 
-from .complex4 import (
-    _BLADE_TABLE,
-    ALL_BLADES,
-    AXES,
-    DirectionSet,
-    MultiIndex,
-    normalize_dirs,
-    sigma_shift,
-    tau_shift,
-)
+import numpy as np
+
+from .complex4 import (_BLADE_TABLE, ALL_BLADES, AXES, BLADE_SLOT,
+                       GRADE_BLADES, DirectionSet, MultiIndex, normalize_dirs)
 
 Key = Tuple[MultiIndex, DirectionSet]
+
+# coefficient types stored in a complex128 array; anything else is object
+_NATIVE = (int, float, complex, np.number)
 
 
 class NotAdmissible(ValueError):
@@ -40,22 +37,33 @@ class NotAdmissible(ValueError):
 
 
 class DiscreteForm:
-    """Degree-homogeneous sparse cochain with complex coefficients."""
+    """Degree-homogeneous cochain; immutable, zero outside ``slots``."""
 
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ("degree", "origin", "data", "slots")
 
     def __init__(self, degree: int, coeffs: Dict[Key, complex] | None = None):
         if degree not in range(5):
             raise ValueError(f"degree must be 0..4, got {degree}")
-        self.degree = degree
-        self.coeffs = {}
+        rows = []
         for (k, dirs), c in (coeffs or {}).items():
-            if len(dirs) != degree:
-                raise ValueError(
-                    f"key dirs {dirs!r} incompatible with degree {degree}"
-                )
+            s = BLADE_SLOT.get(tuple(dirs))
+            if s is None or len(dirs) != degree or len(k) != 4:
+                raise ValueError(f"key {(k, dirs)!r} is not a site and a "
+                                 f"blade of degree {degree}")
             if c != 0:
-                self.coeffs[(tuple(k), tuple(dirs))] = c
+                rows.append((s, *k, c))
+        self.degree, self.origin, self.slots = degree, (0,) * 4, ()
+        self.data = np.zeros((len(GRADE_BLADES[degree]), 0, 0, 0, 0), complex)
+        if rows:
+            *idx, vals = zip(*rows)
+            idx = np.array(idx, dtype=np.int64)
+            lo = idx[1:].min(axis=1)
+            native = all(issubclass(t, _NATIVE) for t in set(map(type, vals)))
+            self.data = np.zeros((len(GRADE_BLADES[degree]),) + tuple(
+                idx[1:].max(axis=1) - lo + 1), complex if native else object)
+            self.data[(idx[0],) + tuple(idx[1:] - lo[:, None])] = vals
+            self.origin = tuple(lo.tolist())
+            self.slots = tuple(np.unique(idx[0]).tolist())
 
     @classmethod
     def zero(cls, degree: int) -> "DiscreteForm":
@@ -66,51 +74,138 @@ class DiscreteForm:
         d = normalize_dirs(dirs)
         return cls(len(d), {(tuple(k), d): coeff})
 
+    def live(self) -> list:
+        """(slot, blade) of the slices that may be nonzero."""
+        return [(s, GRADE_BLADES[self.degree][s]) for s in self.slots]
+
     def get(self, key: Key, default=0):
-        return self.coeffs.get(key, default)
+        k, dirs = key
+        i = (BLADE_SLOT.get(tuple(dirs), -1),
+             *map(operator.sub, k, self.origin))
+        c = self.data.item(i) if len(dirs) == self.degree and min(i) >= 0 \
+            and all(map(operator.lt, i, self.data.shape)) else 0
+        return c if c != 0 else default
 
     def items(self):
-        return self.coeffs.items()
+        """Every nonzero ``((k, dirs), c)``, sorted by (k, dirs)."""
+        sites, slots, values = _entries(self)
+        blades = GRADE_BLADES[self.degree]
+        return zip(zip(sites, map(blades.__getitem__, slots)), values.tolist())
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any((self.data[s] != 0).any() for s in self.slots)
 
     def max_norm(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        a = self.data[list(self.slots)]
+        return float(np.abs(a).max()) if a.size else 0.0
 
     def __add__(self, other: "DiscreteForm") -> "DiscreteForm":
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degree")
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, 0) + c
-        return DiscreteForm(self.degree, out)
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "DiscreteForm") -> "DiscreteForm":
-        return self + (-1) * other
+        return _sum(self, other, -1)
 
     def __rmul__(self, scalar) -> "DiscreteForm":
-        return DiscreteForm(
-            self.degree, {key: scalar * c for key, c in self.coeffs.items()}
-        )
+        # scale the stored values only, not the zero padding
+        data = self.data.astype(np.result_type(self.data, np.asarray(scalar)))
+        nz = data != 0
+        data[nz] = scalar * data[nz]
+        return _form(self.degree, self.origin, data, self.slots)
 
     def __neg__(self) -> "DiscreteForm":
         return (-1) * self
 
     def conjugate(self) -> "DiscreteForm":
-        return DiscreteForm(
-            self.degree, {key: c.conjugate() for key, c in self.coeffs.items()}
-        )
+        return _form(self.degree, self.origin, self.data.conjugate(),
+                     self.slots)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiscreteForm)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, DiscreteForm) \
+            and self.degree == other.degree and (self - other).is_zero()
 
     def __repr__(self):
-        return f"DiscreteForm(degree={self.degree}, nnz={len(self.coeffs)})"
+        nnz = np.count_nonzero(self.data != 0)
+        return f"DiscreteForm(degree={self.degree}, nnz={nnz})"
+
+
+def _form(degree, origin, data, slots) -> DiscreteForm:
+    w = object.__new__(DiscreteForm)
+    w.degree, w.origin, w.data, w.slots = degree, origin, data, slots
+    return w
+
+
+_ZERO = [DiscreteForm(r) for r in range(5)]
+
+
+def _sum(u: DiscreteForm, v: DiscreteForm, sign: int) -> DiscreteForm:
+    """u + sign * v."""
+    if u.degree != v.degree:
+        raise ValueError("cannot add forms of different degree")
+    return _accumulate(u.degree, [(blade, y, w.origin, w.data[s])
+                                  for w, y in ((u, 1), (v, sign))
+                                  for s, blade in w.live()])
+
+
+def _entries(w: DiscreteForm):
+    """Sites, slots and values of the nonzero coefficients, by (site, slot)."""
+    a = w.data.transpose(1, 2, 3, 4, 0)
+    nz = a != 0
+    idx = np.nonzero(nz)
+    sites = zip(*((i + o).tolist() for i, o in zip(idx, w.origin)))
+    return sites, idx[4].tolist(), a[nz]
+
+
+def _shifted(origin, dirs, step: int) -> MultiIndex:
+    """``origin`` moved by ``step`` along every axis in ``dirs``."""
+    return tuple(o + step if mu in dirs else o for mu, o in enumerate(origin))
+
+
+def _slices(lo, hi, origin) -> tuple:
+    """Index slices of the sites lo..hi-1 in an array starting at ``origin``."""
+    return tuple(map(slice, map(operator.sub, lo, origin),
+                     map(operator.sub, hi, origin)))
+
+
+def _accumulate(degree: int, pieces) -> DiscreteForm:
+    """Sum of ``(blade, sign, origin, array)`` slices over their hull."""
+    pieces = [p for p in pieces if p[3].size]
+    if len(pieces) < 2:  # no hull to find
+        if not pieces:
+            return _ZERO[degree]
+        blade, sign, origin, a = pieces[0]
+        out = np.zeros((len(GRADE_BLADES[degree]),) + a.shape,
+                       object if a.dtype.hasobject else complex)
+        out[BLADE_SLOT[blade]] = a if sign > 0 else -a
+        return _form(degree, origin, out, (BLADE_SLOT[blade],))
+    ends = [tuple(map(operator.add, p[2], p[3].shape)) for p in pieces]
+    lo = tuple(map(min, zip(*(p[2] for p in pieces))))
+    hi = tuple(map(max, zip(*ends)))
+    dtype = object if any(p[3].dtype.hasobject for p in pieces) else complex
+    out = np.zeros((len(GRADE_BLADES[degree]),)
+                   + tuple(map(operator.sub, hi, lo)), dtype)
+    for (blade, sign, origin, a), end in zip(pieces, ends):
+        view = out[(BLADE_SLOT[blade],) + _slices(origin, end, lo)]
+        if sign > 0:
+            view += a
+        else:
+            view -= a
+    return _form(degree, lo, out,
+                 tuple(sorted({BLADE_SLOT[p[0]] for p in pieces})))
+
+
+def _overlap(u: DiscreteForm, v: DiscreteForm, vo=None):
+    """(origin, views of u and v) of their common box, v placed at ``vo``."""
+    vo = v.origin if vo is None else vo
+    un, vn = u.data.shape[1:], v.data.shape[1:]
+    if vo == u.origin and un == vn:
+        return vo, u.data, v.data
+    lo = tuple(map(max, u.origin, vo))
+    hi = tuple(map(min, map(operator.add, u.origin, un),
+                   map(operator.add, vo, vn)))
+    if any(map(operator.le, hi, lo)):
+        return None
+    return (lo, u.data[(slice(None),) + _slices(lo, hi, u.origin)],
+            v.data[(slice(None),) + _slices(lo, hi, vo)])
 
 
 class InhomogeneousForm:
@@ -119,9 +214,7 @@ class InhomogeneousForm:
     __slots__ = ("parts",)
 
     def __init__(self, parts=None):
-        if parts is None:
-            parts = [DiscreteForm.zero(r) for r in range(5)]
-        parts = tuple(parts)
+        parts = tuple(_ZERO if parts is None else parts)
         if len(parts) != 5 or any(p.degree != r for r, p in enumerate(parts)):
             raise ValueError("need five parts of degrees 0..4 in order")
         self.parts = parts
@@ -132,16 +225,14 @@ class InhomogeneousForm:
 
     @classmethod
     def from_form(cls, w: DiscreteForm) -> "InhomogeneousForm":
-        parts = [DiscreteForm.zero(r) for r in range(5)]
+        parts = list(_ZERO)
         parts[w.degree] = w
         return cls(parts)
 
     @classmethod
     def from_coeffs(cls, coeffs: Dict[Key, complex]) -> "InhomogeneousForm":
-        split: list = [dict() for _ in range(5)]
-        for (k, dirs), c in coeffs.items():
-            split[len(dirs)][(tuple(k), tuple(dirs))] = c
-        return cls([DiscreteForm(r, split[r]) for r in range(5)])
+        return cls([DiscreteForm(r, {key: c for key, c in coeffs.items()
+                                     if len(key[1]) == r}) for r in range(5)])
 
     def part(self, r: int) -> DiscreteForm:
         return self.parts[r]
@@ -150,8 +241,7 @@ class InhomogeneousForm:
         return self.parts[len(key[1])].get(key, default)
 
     def items(self):
-        for p in self.parts:
-            yield from p.items()
+        return itertools.chain.from_iterable(p.items() for p in self.parts)
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.parts)
@@ -160,14 +250,10 @@ class InhomogeneousForm:
         return max(p.max_norm() for p in self.parts)
 
     def __add__(self, other: "InhomogeneousForm") -> "InhomogeneousForm":
-        return InhomogeneousForm(
-            [a + b for a, b in zip(self.parts, other.parts)]
-        )
+        return InhomogeneousForm(map(operator.add, self.parts, other.parts))
 
     def __sub__(self, other: "InhomogeneousForm") -> "InhomogeneousForm":
-        return InhomogeneousForm(
-            [a - b for a, b in zip(self.parts, other.parts)]
-        )
+        return InhomogeneousForm(map(operator.sub, self.parts, other.parts))
 
     def __rmul__(self, scalar) -> "InhomogeneousForm":
         return InhomogeneousForm([scalar * p for p in self.parts])
@@ -176,8 +262,22 @@ class InhomogeneousForm:
         return isinstance(other, InhomogeneousForm) and self.parts == other.parts
 
     def __repr__(self):
-        nnz = [len(p.coeffs) for p in self.parts]
+        nnz = [int(np.count_nonzero(p.data != 0)) for p in self.parts]
         return f"InhomogeneousForm(nnz_by_degree={nnz})"
+
+
+def _parts(w) -> tuple:
+    """The homogeneous parts of a discrete or inhomogeneous form."""
+    return w.parts if isinstance(w, InhomogeneousForm) else (w,)
+
+
+def _assemble(pieces) -> InhomogeneousForm:
+    """:func:`_accumulate` for pieces of any grades."""
+    grades: list = [[] for _ in range(5)]
+    for p in pieces:
+        grades[len(p[0])].append(p)
+    return InhomogeneousForm([_accumulate(r, g) if g else _ZERO[r]
+                              for r, g in enumerate(grades)])
 
 
 @dataclass(frozen=True)
@@ -200,17 +300,19 @@ class Window:
         return all(2 <= k[mu] <= self.n[mu] - 1 for mu in AXES)
 
     def admissible(self, w) -> bool:
-        return all(self.contains(k) for (k, _dirs), _c in w.items())
+        """Whether every nonzero coefficient of ``w`` lies in the window."""
+        return all(((k >= 1) & (k <= self.n)).all() for k in (
+            np.argwhere((p.data != 0).any(axis=0)) + p.origin
+            for p in _parts(w)))
 
 
 # ---------------------------------------------------------------------------
 # difference operators, coboundary and codifferential
 #
-# Each operator here is a stencil over routes ``dirs -> [(mu, sign, image
-# blade)]``: every coefficient adds ``sign * Delta_mu`` of itself onto the
-# image blade, with the forward or the backward difference.  A plain
-# difference keeps the blade; d and delta take their routes from the blade
-# products e_mu * dirs that raise or lower the grade.
+# A stencil over routes ``dirs -> [(mu, sign, image blade)]`` adds
+# ``sign * Delta_mu`` of each blade slice onto its image blade.  A plain
+# difference keeps the blade; d and delta route by the products e_mu * dirs
+# that raise or lower the grade.
 
 def _routes(raising: bool) -> dict:
     """Per source blade, the (axis, sign, image blade) of e_mu times it,
@@ -230,17 +332,16 @@ _ALONG = [{dirs: [(mu, 1, dirs)] for dirs in ALL_BLADES} for mu in AXES]
 
 def _stencil(w: DiscreteForm, routes: dict, forward: bool,
              degree: int) -> DiscreteForm:
-    out: dict = {}
-    for (k, dirs), c in w.items():
+    # forward: f(k + e_mu) - f(k) at k, so f(k) lands at k and k - e_mu;
+    # backward: f(k) - f(k - e_mu) at k, so f(k) lands at k and k + e_mu
+    step = -1 if forward else 1
+    pieces = []
+    for s, dirs in w.live():
         for mu, sign, nd in routes[dirs]:
-            s = c if sign > 0 else -c
-            if forward:
-                lo, hi = (sigma_shift(k, mu), nd), (k, nd)
-            else:
-                lo, hi = (k, nd), (tau_shift(k, mu), nd)
-            out[lo] = out.get(lo, 0) + s
-            out[hi] = out.get(hi, 0) - s
-    return DiscreteForm(degree, out)
+            near = _shifted(w.origin, (mu,), step)
+            pieces += [(nd, sign * step, w.origin, w.data[s]),
+                       (nd, -sign * step, near, w.data[s])]
+    return _accumulate(degree, pieces)
 
 
 def forward_diff(w: DiscreteForm, mu: int) -> DiscreteForm:
@@ -253,19 +354,6 @@ def backward_diff(w: DiscreteForm, mu: int) -> DiscreteForm:
     return _stencil(w, _ALONG[mu], False, w.degree)
 
 
-def _coboundary_form(w: DiscreteForm) -> DiscreteForm:
-    if w.degree == 4:
-        # top degree: no room to raise, the image is the zero form
-        return DiscreteForm.zero(4)
-    return _stencil(w, _RAISE, True, w.degree + 1)
-
-
-def _codifferential_form(w: DiscreteForm) -> DiscreteForm:
-    if w.degree == 0:
-        return DiscreteForm.zero(0)
-    return _stencil(w, _LOWER, False, w.degree - 1)
-
-
 def coboundary(w):
     """Discrete exterior differential, degree r -> r+1 (zero on 4-forms).
 
@@ -273,11 +361,10 @@ def coboundary(w):
     chain boundary under the pairing.
     """
     if isinstance(w, InhomogeneousForm):
-        parts = [DiscreteForm.zero(0)] + [
-            _coboundary_form(w.part(r)) for r in range(4)
-        ]
-        return InhomogeneousForm(parts)
-    return _coboundary_form(w)
+        return InhomogeneousForm([_ZERO[0]] + [
+            _stencil(p, _RAISE, True, p.degree + 1) for p in w.parts[:4]])
+    # a 4-form has no routes: no room to raise, the image is the zero form
+    return _stencil(w, _RAISE, True, min(w.degree + 1, 4))
 
 
 def codifferential(w):
@@ -286,11 +373,10 @@ def codifferential(w):
     Built from backward differences; independent of the overall metric sign.
     """
     if isinstance(w, InhomogeneousForm):
-        parts = [_codifferential_form(w.part(r)) for r in range(1, 5)] + [
-            DiscreteForm.zero(4)
-        ]
-        return InhomogeneousForm(parts)
-    return _codifferential_form(w)
+        return InhomogeneousForm([
+            _stencil(p, _LOWER, False, p.degree - 1) for p in w.parts[1:]]
+            + [_ZERO[4]])
+    return _stencil(w, _LOWER, False, max(w.degree - 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +392,16 @@ def cup(u: DiscreteForm, v: DiscreteForm) -> DiscreteForm:
     their blade product (the Koszul sign of the crossing factors).
     """
     deg = u.degree + v.degree
-    if deg > 4:
-        # direction sets would have to overlap, so the product vanishes
-        return DiscreteForm.zero(4)
-    by_site: dict = {}
-    for (l, dv), cv in v.items():
-        by_site.setdefault(l, []).append((dv, cv))
-    out: dict = {}
-    for (k, du), cu in u.items():
-        l = tuple(k[mu] + 1 if mu in du else k[mu] for mu in AXES)
-        for dv, cv in by_site.get(l, ()):
+    pieces = []
+    for su, du in u.live():
+        # v is read at k + e_du: seen from k, its box starts e_du lower
+        box = _overlap(u, v, _shifted(v.origin, du, -1))
+        for sv, dv in v.live() if box else ():
             sign, nd = _BLADE_TABLE[(du, dv)]
-            if len(nd) != deg:
-                continue
-            prod = cu * cv
-            if sign < 0:
-                prod = -prod
-            out[(k, nd)] = out.get((k, nd), 0) + prod
-    return DiscreteForm(deg, out)
+            if len(nd) == deg:
+                pieces.append((nd, sign, box[0], box[1][su] * box[2][sv]))
+    # above degree 4 the direction sets overlap and the product vanishes
+    return _accumulate(min(deg, 4), pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +415,8 @@ def _lorentz_sign(dirs: DirectionSet) -> int:
     return -1 if 0 in dirs else 1
 
 
-# sign of *s for each source direction set; the image direction set is the
-# complement and the image index is shifted by tau along the source dirs.
-# s cup *s = Q(s) e with the cup sign of s and its complement, so the star
-# sign is Q(s) times that blade product sign.
+# sign of *s: s cup *s = Q(s) e with the cup sign of s and its complement,
+# so it is Q(s) times that blade product sign
 STAR_SIGN = {
     s: _lorentz_sign(s) * _BLADE_TABLE[(s, _complement(s))][0]
     for s in ALL_BLADES
@@ -353,25 +429,16 @@ def hodge_star(w: DiscreteForm) -> DiscreteForm:
     Defined on basis elements by ``s cup *s = Q(k0) e``; the image index
     carries a tau shift along the source direction set.
     """
-    out: dict = {}
-    for (k, dirs), c in w.items():
-        kk = tuple(k[mu] + 1 if mu in dirs else k[mu] for mu in AXES)
-        sc = c if STAR_SIGN[dirs] > 0 else -c
-        key = (kk, _complement(dirs))
-        out[key] = out.get(key, 0) + sc
-    return DiscreteForm(4 - w.degree, out)
+    return _accumulate(4 - w.degree, [
+        (_complement(d), STAR_SIGN[d], _shifted(w.origin, d, 1), w.data[s])
+        for s, d in w.live()])
 
 
 def hodge_star_inverse(w: DiscreteForm) -> DiscreteForm:
     """Row-by-row inverse of :func:`hodge_star` (undoes shift and sign)."""
-    out: dict = {}
-    for (k, dirs), c in w.items():
-        sd = _complement(dirs)
-        kk = tuple(k[mu] - 1 if mu in sd else k[mu] for mu in AXES)
-        sc = c if STAR_SIGN[sd] > 0 else -c
-        key = (kk, sd)
-        out[key] = out.get(key, 0) + sc
-    return DiscreteForm(4 - w.degree, out)
+    return _accumulate(4 - w.degree, [
+        (sd, STAR_SIGN[sd], _shifted(w.origin, sd, -1), w.data[s])
+        for s, sd in ((s, _complement(d)) for s, d in w.live())])
 
 
 def star_d_star(w: DiscreteForm) -> DiscreteForm:
@@ -394,25 +461,21 @@ def inner_product(u: DiscreteForm, v: DiscreteForm, win: Window) -> complex:
     conjugated second argument (sign -1 exactly on components whose
     direction set contains the time axis); different degrees give 0.
     """
-    for w in (u, v):
-        if not win.admissible(w):
-            raise NotAdmissible(
-                "form has support outside the inner-product window"
-            )
-    if u.degree != v.degree:
-        return 0
-    total = 0
-    for key, c in u.items():
-        cv = v.get(key, None)
-        if cv is None:
-            continue
-        term = c * cv.conjugate()
-        total = total + (term if _lorentz_sign(key[1]) > 0 else -term)
-    return total
+    if not (win.admissible(u) and win.admissible(v)):
+        raise NotAdmissible("form has support outside the inner-product window")
+    box = _overlap(u, v) if u.degree == v.degree else None
+    return sum(_lorentz_sign(d) * (box[1][s] * box[2][s].conjugate()).sum()
+               for s, d in enumerate(GRADE_BLADES[u.degree])) if box else 0
 
 
 def laplacian(w):
-    """Discrete Laplacian -(d delta + delta d), gradewise."""
+    """Discrete Laplacian -(d delta + delta d), gradewise.
+
+    On a 0-form (4-form) the half d delta (delta d) has no degree to land
+    in and is dropped.
+    """
     dd = coboundary(codifferential(w))
     sd = codifferential(coboundary(w))
+    if isinstance(w, DiscreteForm) and w.degree in (0, 4):
+        return (-1) * (sd if w.degree == 0 else dd)
     return (-1) * (dd + sd)

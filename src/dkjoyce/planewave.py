@@ -22,8 +22,8 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .complex4 import AXES, MultiIndex
-from .forms import DiscreteForm, InhomogeneousForm, Window, backward_diff, \
-    coboundary, codifferential, forward_diff
+from .forms import DiscreteForm, InhomogeneousForm, Window, _accumulate, \
+    _assemble, backward_diff, coboundary, codifferential, forward_diff
 from .clifford import blade_lmul, blade_product
 from .dirac_joyce import ResidualReport, check_mass
 
@@ -136,7 +136,8 @@ def wave_component(label: str, k: MultiIndex, p: Momentum) -> complex:
 
 
 def psi_form(label: str, p: Momentum, win: Window) -> DiscreteForm:
-    """The scalar wave as a 0-form on a window, with cached axis powers."""
+    """The scalar wave as a 0-form on a window: the outer product of the
+    four axis power vectors."""
     minus = MINUS_AXES[label]
     axis_pows = []
     for mu in AXES:
@@ -144,13 +145,11 @@ def psi_form(label: str, p: Momentum, win: Window) -> DiscreteForm:
         pows = [1 + 0j]
         for _ in range(win.n[mu]):
             pows.append(pows[-1] * base)
-        axis_pows.append(pows)
-    coeffs = {}
-    for k in win.sites():
-        val = (axis_pows[0][k[0]] * axis_pows[1][k[1]]
-               * axis_pows[2][k[2]] * axis_pows[3][k[3]])
-        coeffs[(k, ())] = val
-    return DiscreteForm(0, coeffs)
+        axis_pows.append(np.array(pows[1:]))
+    a0, a1, a2, a3 = axis_pows
+    vals = (a0[:, None, None, None] * a1[None, :, None, None]
+            * a2[None, None, :, None] * a3)
+    return _accumulate(0, [((), 1, (1, 1, 1, 1), vals)])
 
 
 def eigen_difference_check(label: str, p: Momentum, win: Window) -> float:
@@ -171,16 +170,10 @@ def eigen_difference_check(label: str, p: Momentum, win: Window) -> float:
 
 def build_phi(A: EvenAmplitudes, p: Momentum, win: Window) -> InhomogeneousForm:
     """Even wave form: each amplitude times its scalar wave on its blade."""
-    coeffs: dict = {}
-    vec = A.as_vector()
-    for label, alpha in zip(WAVE_LABELS, vec):
-        if alpha == 0:
-            continue
-        blade = LABEL_BLADES[label]
-        for (k, _d), val in psi_form(label, p, win).items():
-            key = (k, blade)
-            coeffs[key] = coeffs.get(key, 0) + alpha * val
-    return InhomogeneousForm.from_coeffs(coeffs)
+    return _assemble([
+        (LABEL_BLADES[label], 1, (1, 1, 1, 1),
+         alpha * psi_form(label, p, win).data[0])
+        for label, alpha in zip(WAVE_LABELS, A.as_vector()) if alpha != 0])
 
 
 def eigen_relation_residual(Phi: InhomogeneousForm, p: Momentum,
@@ -277,17 +270,15 @@ _MINUS_BLADES = ((0, 1), (0, 2), (0, 3), (0, 1, 2, 3))
 
 def split_even(Phi: InhomogeneousForm):
     """Split an even form into the parts commuting / anticommuting with e_0."""
-    plus: dict = {}
-    minus: dict = {}
-    for (k, d), c in Phi.items():
-        if d in _PLUS_BLADES:
-            plus[(k, d)] = c
-        elif d in _MINUS_BLADES:
-            minus[(k, d)] = c
-        else:
-            raise ValueError(f"odd blade {d!r} in an even form")
-    return (InhomogeneousForm.from_coeffs(plus),
-            InhomogeneousForm.from_coeffs(minus))
+    for r in (1, 3):
+        part = Phi.part(r)
+        for s, d in part.live():
+            if (part.data[s] != 0).any():
+                raise ValueError(f"odd blade {d!r} in an even form")
+    pieces = [(d, 1, part.origin, part.data[s])
+              for part in Phi.parts[::2] for s, d in part.live()]
+    return (_assemble([x for x in pieces if x[0] in _PLUS_BLADES]),
+            _assemble([x for x in pieces if x[0] in _MINUS_BLADES]))
 
 
 def _spatial_bivector_mul(Phi: InhomogeneousForm, p: Momentum,
@@ -340,18 +331,14 @@ def _check_family_pre(p: Momentum, m: float, denom: float,
 
 
 def _build_family(coeffs, terms, p: Momentum, win: Window) -> InhomogeneousForm:
-    out: dict = {}
+    pieces = []
     for c, (label, combo) in zip(coeffs, terms):
         if c == 0:
             continue
-        psi = psi_form(label, p, win)
-        for blade, coef in combo:
-            if coef == 0:
-                continue
-            for (k, _d), val in psi.items():
-                key = (k, blade)
-                out[key] = out.get(key, 0) + c * coef * val
-    return InhomogeneousForm.from_coeffs(out)
+        psi = psi_form(label, p, win).data[0]
+        pieces += [(blade, 1, (1, 1, 1, 1), c * coef * psi)
+                   for blade, coef in combo if coef != 0]
+    return _assemble(pieces)
 
 
 def _family_plus_terms(p: Momentum, m: float):

@@ -36,7 +36,7 @@ class GaussianRational:
         if isinstance(x, GaussianRational):
             return x
         if isinstance(x, (int, Fraction)):
-            return cls(x, 0)
+            return cls(x, 0) if x else _ZERO
         if isinstance(x, (float, complex)):
             return cls(_frac(complex(x).real), _frac(complex(x).imag))
         return None
@@ -45,6 +45,9 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o or not self:
+            # zero operands are common: form boxes are zero-padded
+            return o if o else self
         return GaussianRational(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -53,18 +56,24 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o:
+            return self
         return GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self:
+            return o
         return GaussianRational(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not self or not o:
+            return _ZERO
         return GaussianRational(
             self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
         )
@@ -108,6 +117,8 @@ class GaussianRational:
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
+
+_ZERO = GaussianRational()
 
 #: exact imaginary unit
 I = GaussianRational(0, 1)

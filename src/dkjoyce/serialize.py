@@ -1,8 +1,10 @@
 """JSON serialization of discrete forms.
 
 A form is stored as a list of coefficient records
-``{"degree": r, "dirs": [...], "k": [...], "re": x, "im": y}``, sorted by
-(degree, k lexicographically, dirs lexicographically).  Round trips are
+``{"degree": r, "dirs": [...], "k": [...], "re": x, "im": y}``, one per
+nonzero coefficient, sorted by (degree, k lexicographically, dirs
+lexicographically): the order in which ``numpy.nonzero`` visits a form's
+box array with the blade slot as the last axis.  Round trips are
 bit-exact for ``complex`` coefficients: re/im pass through JSON floats
 unchanged.
 """
@@ -12,8 +14,8 @@ from __future__ import annotations
 import json
 from typing import List
 
-from .complex4 import AXES
-from .forms import DiscreteForm, InhomogeneousForm
+from .complex4 import AXES, GRADE_BLADES
+from .forms import DiscreteForm, InhomogeneousForm, _entries, _parts
 
 
 class SchemaError(ValueError):
@@ -23,16 +25,15 @@ class SchemaError(ValueError):
 def form_to_records(w) -> List[dict]:
     """Sorted coefficient records of a discrete or inhomogeneous form."""
     records = []
-    for (k, dirs), c in w.items():
-        z = complex(c)
-        records.append({
-            "degree": len(dirs),
-            "dirs": list(dirs),
-            "k": list(k),
-            "re": z.real,
-            "im": z.imag,
-        })
-    records.sort(key=lambda r: (r["degree"], r["k"], r["dirs"]))
+    for part in _parts(w):
+        sites, slots, values = _entries(part)
+        z = values.astype(complex)
+        blades = GRADE_BLADES[part.degree]
+        records += [
+            {"degree": part.degree, "dirs": list(blades[s]), "k": list(k),
+             "re": re, "im": im}
+            for k, s, re, im in zip(sites, slots, z.real.tolist(),
+                                    z.imag.tolist())]
     return records
 
 

@@ -154,6 +154,9 @@ def test_text_and_csv_formats():
     ("planewave", ["--mass", "inf"]),
     ("planewave", ["--spatial", "0,inf,0"]),
     ("planewave", ["--tol", "inf"]),
+    ("planewave", ["--spatial", "1e200,0,0"]),
+    ("planewave", ["--p", "1e200,0,0,0"]),
+    ("dispersion-scan", ["--grid", "1e200"]),
 ])
 def test_malformed_or_nonfinite_input_exit_code(suite, extra, capsys):
     assert run(["run", "--suite", suite] + extra) == 2

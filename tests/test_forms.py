@@ -1,27 +1,38 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dkjoyce import (
     DiscreteForm,
+    GaussianRational,
     InhomogeneousForm,
     NotAdmissible,
     Window,
     backward_diff,
     coboundary,
     codifferential,
+    clifford_mul,
     cup,
+    decomposition,
+    dirac_kahler_apply,
+    dk_system_residual,
+    form_to_records,
     forward_diff,
     hodge_star,
     hodge_star_inverse,
     inner_product,
     laplacian,
+    records_to_form,
     star_d_star,
 )
 from dkjoyce.complex4 import AXES, sigma_shift, tau_all, tau_shift
 from dkjoyce.forms import STAR_SIGN
 
 from helpers import (
+    AXIS_SETS,
     margin_form,
     rand_gaussian,
     random_form,
@@ -295,3 +306,108 @@ def test_laplacian_equals_squared_first_order():
         return coboundary(a) + codifferential(a)
 
     assert laplacian(O) == (-1) * dirac(dirac(O))
+
+
+def test_laplacian_drops_the_half_without_a_degree():
+    # d delta has nowhere to land on a 0-form, delta d on a 4-form
+    w0 = DiscreteForm.basis((1, 1, 1, 1), (), 2 - 1j)
+    assert laplacian(w0) == (-1) * codifferential(coboundary(w0))
+    w4 = DiscreteForm.basis((1, 1, 1, 1), (0, 1, 2, 3), 3)
+    assert laplacian(w4) == (-1) * coboundary(codifferential(w4))
+    assert (laplacian(w0).degree, laplacian(w4).degree) == (0, 4)
+
+
+# ---------------------------------------------------------------------------
+# properties of the box representation on random sparse supports
+
+MASS = {True: Fraction(3, 2), False: 1.5}
+
+
+def _scalars(exact):
+    if exact:
+        q = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+        return st.builds(GaussianRational, q, q)
+    return st.builds(complex, st.integers(-9, 9), st.integers(-9, 9))
+
+
+@st.composite
+def _forms(draw, degree, exact):
+    """A sparse form near the origin, with negative indices, and now and
+    then one site far out along one axis (the box then spans the gap)."""
+    keys = draw(st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * 4),
+                                   st.sampled_from(AXIS_SETS[degree])),
+                         min_size=1, max_size=6))
+    if draw(st.booleans()):
+        (k, dirs), mu = keys[-1], draw(st.sampled_from(AXES))
+        far = k[mu] + draw(st.sampled_from((-20, 20)))
+        keys[-1] = (k[:mu] + (far,) + k[mu + 1:], dirs)
+    return DiscreteForm(degree, {key: draw(_scalars(exact)) for key in keys})
+
+
+@st.composite
+def _form_cases(draw):
+    exact = draw(st.booleans())
+    return draw(_forms(draw(st.integers(0, 4)), exact)), exact
+
+
+@st.composite
+def _inhomogeneous_cases(draw):
+    exact = draw(st.booleans())
+    return InhomogeneousForm([draw(_forms(r, exact)) for r in range(5)]), exact
+
+
+def _check_outputs(exact, *forms):
+    """No stored zero is ever yielded; exact inputs give exact outputs."""
+    for w in forms:
+        for _key, c in w.items():
+            assert c != 0
+            assert isinstance(c, GaussianRational) or not exact
+
+
+PROPERTY = settings(max_examples=25, deadline=None)
+
+
+@PROPERTY
+@given(_form_cases())
+def test_box_forms_nilpotency_and_star_inverse(case):
+    w, exact = case
+    dw, sw, star = coboundary(w), codifferential(w), hodge_star(w)
+    assert coboundary(dw).is_zero()
+    assert codifferential(sw).is_zero()
+    assert hodge_star_inverse(star) == w
+    _check_outputs(exact, w, dw, sw, star, hodge_star_inverse(w))
+
+
+@PROPERTY
+@given(_inhomogeneous_cases())
+def test_box_forms_decomposition_and_system(case):
+    O, exact = case
+    dec = decomposition(O)
+    assert dec == coboundary(O) + codifferential(O)
+    table = dk_system_residual(O, MASS[exact])
+    pipeline = dirac_kahler_apply(O) - MASS[exact] * O
+    if exact:
+        assert table == pipeline
+    else:
+        scale = max(pipeline.max_norm(), 1.0)
+        assert (table - pipeline).max_norm() <= 1e-10 * scale
+    _check_outputs(exact, dec, table, pipeline, clifford_mul(O, O))
+
+
+@PROPERTY
+@given(_inhomogeneous_cases())
+def test_box_forms_records_round_trip(case):
+    O, exact = case
+    if not exact:
+        assert records_to_form(form_to_records(O)) == O
+
+
+@PROPERTY
+@given(_forms(2, exact=True), st.sampled_from(ALL_DIRS))
+def test_box_forms_promote_complex_to_exact(w, blade):
+    # a complex basis form times an exact form gives exact coefficients
+    k = next((key[0] for key, _c in w.items()), w.origin)
+    for coeff in (1, 2.5 - 1j):
+        b = DiscreteForm.basis(k, blade, coeff)
+        _check_outputs(True, cup(b, w), cup(w, b), clifford_mul(
+            InhomogeneousForm.from_form(b), InhomogeneousForm.from_form(w)))
