@@ -1,7 +1,7 @@
 """Discrete exterior/Clifford calculus on the 4D integer lattice.
 
-Sparse discrete forms with coboundary, codifferential, cup product,
-Lorentz-signature Hodge star and Clifford multiplication; the discrete
+Discrete forms stored as box arrays, with coboundary, codifferential, cup
+product, Lorentz-signature Hodge star and Clifford multiplication; the discrete
 Dirac-Kahler and Joyce equations as residual computations; discrete
 plane-wave solution families; and a verification CLI (``dkjoyce run``).
 """

@@ -115,7 +115,8 @@ class SuiteConfig:
             # squares enter the dispersion relation
             if name != "tol" and not all(
                     math.isfinite(x * x) for x in values or ()):
-                raise ConfigInvalid(f"{name} is too large to square, got {value}")
+                raise ConfigInvalid(
+                    f"{name} is too large to square, got {value}")
         if self.p is not None and self.spatial is not None:
             raise ConfigInvalid("give either --p or --spatial, not both")
         if self.branch not in ("+", "-"):

@@ -53,7 +53,7 @@ def clifford_mul(
             lo, av, bv = box
             for (sa, da), (sb, db) in itertools.product(a.live(), b.live()):
                 sign, blade = _BLADE_TABLE[(da, db)]
-                pieces.append((blade, sign, lo, av[sa] * bv[sb]))
+                pieces.append((blade, sign, lo, av[sa], bv[sb]))
     return _assemble(pieces)
 
 

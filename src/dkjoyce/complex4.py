@@ -31,7 +31,7 @@ DirectionSet = Tuple[int, ...]
 #: its grade is its slot in a form's coefficient array
 GRADE_BLADES = tuple(tuple(itertools.combinations(AXES, r)) for r in range(5))
 ALL_BLADES = tuple(blade for grade in GRADE_BLADES for blade in grade)
-BLADE_SLOT = {blade: s for grade in GRADE_BLADES for s, blade in enumerate(grade)}
+BLADE_SLOT = {b: s for grade in GRADE_BLADES for s, b in enumerate(grade)}
 
 
 def _blade_product(a: DirectionSet, b: DirectionSet) -> Tuple[int, DirectionSet]:

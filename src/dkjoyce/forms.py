@@ -16,6 +16,7 @@ blades, and the Hodge star sign follows from s cup *s = Q e.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -52,18 +53,8 @@ class DiscreteForm:
                                  f"blade of degree {degree}")
             if c != 0:
                 rows.append((s, *k, c))
-        self.degree, self.origin, self.slots = degree, (0,) * 4, ()
-        self.data = np.zeros((len(GRADE_BLADES[degree]), 0, 0, 0, 0), complex)
-        if rows:
-            *idx, vals = zip(*rows)
-            idx = np.array(idx, dtype=np.int64)
-            lo = idx[1:].min(axis=1)
-            native = all(issubclass(t, _NATIVE) for t in set(map(type, vals)))
-            self.data = np.zeros((len(GRADE_BLADES[degree]),) + tuple(
-                idx[1:].max(axis=1) - lo + 1), complex if native else object)
-            self.data[(idx[0],) + tuple(idx[1:] - lo[:, None])] = vals
-            self.origin = tuple(lo.tolist())
-            self.slots = tuple(np.unique(idx[0]).tolist())
+        self.degree = degree
+        self.origin, self.data, self.slots = _scatter(degree, rows)
 
     @classmethod
     def zero(cls, degree: int) -> "DiscreteForm":
@@ -120,8 +111,11 @@ class DiscreteForm:
                      self.slots)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DiscreteForm) \
-            and self.degree == other.degree and (self - other).is_zero()
+        if not isinstance(other, DiscreteForm) or self.degree != other.degree:
+            return False
+        if self.origin == other.origin and self.data.shape == other.data.shape:
+            return bool((self.data == other.data).all())
+        return (self - other).is_zero()
 
     def __repr__(self):
         nnz = np.count_nonzero(self.data != 0)
@@ -132,6 +126,21 @@ def _form(degree, origin, data, slots) -> DiscreteForm:
     w = object.__new__(DiscreteForm)
     w.degree, w.origin, w.data, w.slots = degree, origin, data, slots
     return w
+
+
+def _scatter(degree: int, rows: list):
+    """Origin, box array and slots of the values in rows (slot, k0..k3, c)."""
+    if not rows:
+        empty = np.zeros((len(GRADE_BLADES[degree]), 0, 0, 0, 0), complex)
+        return (0,) * 4, empty, ()
+    *idx, vals = zip(*rows)
+    idx = np.array(idx, dtype=np.int64)
+    lo = idx[1:].min(axis=1)
+    native = all(issubclass(t, _NATIVE) for t in set(map(type, vals)))
+    data = np.zeros((len(GRADE_BLADES[degree]),) + tuple(
+        idx[1:].max(axis=1) - lo + 1), complex if native else object)
+    data[(idx[0],) + tuple(idx[1:] - lo[:, None])] = vals
+    return tuple(lo.tolist()), data, tuple(np.unique(idx[0]).tolist())
 
 
 _ZERO = [DiscreteForm(r) for r in range(5)]
@@ -161,18 +170,20 @@ def _shifted(origin, dirs, step: int) -> MultiIndex:
 
 
 def _slices(lo, hi, origin) -> tuple:
-    """Index slices of the sites lo..hi-1 in an array starting at ``origin``."""
+    """Index slices of sites lo..hi-1 in an array starting at ``origin``."""
     return tuple(map(slice, map(operator.sub, lo, origin),
                      map(operator.sub, hi, origin)))
 
 
 def _accumulate(degree: int, pieces) -> DiscreteForm:
-    """Sum of ``(blade, sign, origin, array)`` slices over their hull."""
+    """Sum of ``(blade, sign, origin, *factors)`` slices over their hull; a
+    slice is the product of its factor arrays, formed only when added."""
     pieces = [p for p in pieces if p[3].size]
     if len(pieces) < 2:  # no hull to find
         if not pieces:
             return _ZERO[degree]
-        blade, sign, origin, a = pieces[0]
+        blade, sign, origin, *factors = pieces[0]
+        a = functools.reduce(operator.mul, factors)
         out = np.zeros((len(GRADE_BLADES[degree]),) + a.shape,
                        object if a.dtype.hasobject else complex)
         out[BLADE_SLOT[blade]] = a if sign > 0 else -a
@@ -180,11 +191,13 @@ def _accumulate(degree: int, pieces) -> DiscreteForm:
     ends = [tuple(map(operator.add, p[2], p[3].shape)) for p in pieces]
     lo = tuple(map(min, zip(*(p[2] for p in pieces))))
     hi = tuple(map(max, zip(*ends)))
-    dtype = object if any(p[3].dtype.hasobject for p in pieces) else complex
+    dtype = object if any(a.dtype.hasobject for p in pieces for a in p[3:]) \
+        else complex
     out = np.zeros((len(GRADE_BLADES[degree]),)
                    + tuple(map(operator.sub, hi, lo)), dtype)
-    for (blade, sign, origin, a), end in zip(pieces, ends):
+    for (blade, sign, origin, *factors), end in zip(pieces, ends):
         view = out[(BLADE_SLOT[blade],) + _slices(origin, end, lo)]
+        a = functools.reduce(operator.mul, factors)
         if sign > 0:
             view += a
         else:
@@ -399,7 +412,7 @@ def cup(u: DiscreteForm, v: DiscreteForm) -> DiscreteForm:
         for sv, dv in v.live() if box else ():
             sign, nd = _BLADE_TABLE[(du, dv)]
             if len(nd) == deg:
-                pieces.append((nd, sign, box[0], box[1][su] * box[2][sv]))
+                pieces.append((nd, sign, box[0], box[1][su], box[2][sv]))
     # above degree 4 the direction sets overlap and the product vanishes
     return _accumulate(min(deg, 4), pieces)
 
@@ -462,7 +475,8 @@ def inner_product(u: DiscreteForm, v: DiscreteForm, win: Window) -> complex:
     direction set contains the time axis); different degrees give 0.
     """
     if not (win.admissible(u) and win.admissible(v)):
-        raise NotAdmissible("form has support outside the inner-product window")
+        raise NotAdmissible(
+            "form has support outside the inner-product window")
     box = _overlap(u, v) if u.degree == v.degree else None
     return sum(_lorentz_sign(d) * (box[1][s] * box[2][s].conjugate()).sum()
                for s, d in enumerate(GRADE_BLADES[u.degree])) if box else 0

@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 from typing import List
 
-from .complex4 import AXES, GRADE_BLADES
-from .forms import DiscreteForm, InhomogeneousForm, _entries, _parts
+from .complex4 import AXES, BLADE_SLOT, GRADE_BLADES
+from .forms import DiscreteForm, InhomogeneousForm, _entries, _form, _parts, \
+    _scatter
 
 
 class SchemaError(ValueError):
@@ -70,14 +71,19 @@ def records_to_form(records) -> InhomogeneousForm:
     """Rebuild an inhomogeneous form from coefficient records."""
     if not isinstance(records, list):
         raise SchemaError("top level: expected a list of records")
-    coeffs: dict = {}
+    seen: set = set()
+    rows: list = [[] for _ in range(5)]
     for i, rec in enumerate(records):
         _validate_record(rec, i)
         key = (tuple(rec["k"]), tuple(rec["dirs"]))
-        if key in coeffs:
+        if key in seen:
             raise SchemaError(f"record {i}: duplicate key {key}")
-        coeffs[key] = complex(rec["re"], rec["im"])
-    return InhomogeneousForm.from_coeffs(coeffs)
+        seen.add(key)
+        c = complex(rec["re"], rec["im"])
+        if c:
+            rows[rec["degree"]].append((BLADE_SLOT[key[1]], *key[0], c))
+    return InhomogeneousForm([_form(r, *_scatter(r, rows[r]))
+                              for r in range(5)])
 
 
 def records_to_discrete_form(records, degree: int) -> DiscreteForm:

@@ -1,6 +1,6 @@
 """Compare two commits on the dkjoyce benchmark and write a BENCH file.
 
-    python3 tools/bench_compare.py --parent REF --change REF --out BENCH_<n>.json
+    python3 tools/bench_compare.py --parent REF --change REF --out FILE
 
 Each commit is exported with ``git archive`` into a scratch directory and
 run there with ``perfbench/run.py``, so the benchmark of each side is the one
@@ -62,7 +62,7 @@ def run(tree: Path, workload: str, seed: int, seconds: float,
 
 
 def summary(values: list) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 \
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 \
         else (values[0],) * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
             "min": min(values), "max": max(values)}
