@@ -2,7 +2,7 @@
 
     python3 tools/bench_compare.py --parent REF --change REF --out FILE
 
-Each commit is exported with ``git archive`` into a scratch directory and
+Each commit is exported with ``git archive`` into a temporary directory and
 run there with ``perfbench/run.py``, so the benchmark of each side is the one
 committed with it.  For every workload the script runs ``--pairs`` pairs of
 ``--trace 0`` runs with seeds 1, 2, ..., alternating which side goes first,
