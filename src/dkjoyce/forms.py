@@ -38,7 +38,12 @@ class NotAdmissible(ValueError):
 
 
 class DiscreteForm:
-    """Degree-homogeneous cochain; immutable, zero outside ``slots``."""
+    """Degree-homogeneous cochain; immutable, zero outside ``slots``.
+
+    Coefficients given as Python int, float or complex are stored as
+    complex128, so :meth:`get` and :meth:`items` return them as complex
+    (3 comes back as (3+0j)); any other type comes back as given.
+    """
 
     __slots__ = ("degree", "origin", "data", "slots")
 
@@ -113,8 +118,6 @@ class DiscreteForm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteForm) or self.degree != other.degree:
             return False
-        if self.origin == other.origin and self.data.shape == other.data.shape:
-            return bool((self.data == other.data).all())
         return (self - other).is_zero()
 
     def __repr__(self):
@@ -179,7 +182,7 @@ def _accumulate(degree: int, pieces) -> DiscreteForm:
     """Sum of ``(blade, sign, origin, *factors)`` slices over their hull; a
     slice is the product of its factor arrays, formed only when added."""
     pieces = [p for p in pieces if p[3].size]
-    if len(pieces) < 2:  # no hull to find
+    if len(pieces) < 2:  # its own hull; halves a one-site product's cost
         if not pieces:
             return _ZERO[degree]
         blade, sign, origin, *factors = pieces[0]
@@ -210,7 +213,7 @@ def _overlap(u: DiscreteForm, v: DiscreteForm, vo=None):
     """(origin, views of u and v) of their common box, v placed at ``vo``."""
     vo = v.origin if vo is None else vo
     un, vn = u.data.shape[1:], v.data.shape[1:]
-    if vo == u.origin and un == vn:
+    if vo == u.origin and un == vn:  # no slicing; as in _accumulate
         return vo, u.data, v.data
     lo = tuple(map(max, u.origin, vo))
     hi = tuple(map(min, map(operator.add, u.origin, un),

@@ -7,16 +7,25 @@ lexicographically): the order in which ``numpy.nonzero`` visits a form's
 box array with the blade slot as the last axis.  Round trips are
 bit-exact for ``complex`` coefficients: re/im pass through JSON floats
 unchanged.
+
+A loaded form is stored over the bounding box of its sites, so the records
+of one degree may span at most ``MAX_LOAD_SITES`` sites (a 32^4 box); a
+file that names two far-apart sites is rejected, not allocated.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import List
 
 from .complex4 import AXES, BLADE_SLOT, GRADE_BLADES
 from .forms import DiscreteForm, InhomogeneousForm, _entries, _form, _parts, \
     _scatter
+
+
+MAX_LOAD_SITES = 32 ** 4
+_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 class SchemaError(ValueError):
@@ -58,9 +67,11 @@ def _validate_record(rec, i: int):
         )
     if len(dirs) != degree:
         raise SchemaError(f"record {i}: len(dirs) != degree")
-    if not isinstance(k, list) or len(k) != 4 \
-            or any(not isinstance(x, int) or isinstance(x, bool) for x in k):
-        raise SchemaError(f"record {i}: k must be a list of four integers")
+    if not isinstance(k, list) or len(k) != 4 or any(
+            not isinstance(x, int) or isinstance(x, bool) or x not in _INT64
+            for x in k):
+        raise SchemaError(
+            f"record {i}: k must be a list of four 64-bit integers")
     for field in ("re", "im"):
         v = rec[field]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -82,6 +93,12 @@ def records_to_form(records) -> InhomogeneousForm:
         c = complex(rec["re"], rec["im"])
         if c:
             rows[rec["degree"]].append((BLADE_SLOT[key[1]], *key[0], c))
+    for r, part in enumerate(rows):
+        axes = list(zip(*part))[1:5]  # columns k0..k3 of (slot, k, c)
+        sites = math.prod(max(x) - min(x) + 1 for x in axes)
+        if sites > MAX_LOAD_SITES:
+            raise SchemaError(f"degree-{r} records span a box of {sites} "
+                              f"sites, more than {MAX_LOAD_SITES}")
     return InhomogeneousForm([_form(r, *_scatter(r, rows[r]))
                               for r in range(5)])
 

@@ -317,6 +317,18 @@ def test_laplacian_drops_the_half_without_a_degree():
     assert (laplacian(w0).degree, laplacian(w4).degree) == (0, 4)
 
 
+def test_native_coefficients_come_back_complex():
+    # int and float coefficients are stored as complex128, other types as given
+    k = (1, 1, 1, 1)
+    for c in (3, 0.5, 2 - 1j):
+        got = DiscreteForm.basis(k, (0,), c).get((k, (0,)))
+        assert type(got) is complex and got == c
+    w = DiscreteForm(1, {(k, (0,)): 3, ((1, 2, 1, 1), (1,)): 0.5})
+    assert [type(c) for _, c in w.items()] == [complex, complex]
+    q = GaussianRational(Fraction(1, 3), 1)
+    assert DiscreteForm.basis(k, (0,), q).get((k, (0,))) is q
+
+
 # ---------------------------------------------------------------------------
 # properties of the box representation on random sparse supports
 

@@ -11,7 +11,7 @@ from dkjoyce import (
     load_form,
     records_to_form,
 )
-from dkjoyce.serialize import records_to_discrete_form
+from dkjoyce.serialize import MAX_LOAD_SITES, records_to_discrete_form
 
 from helpers import rand_complex, random_inhomogeneous, rng_for
 
@@ -112,3 +112,32 @@ def test_json_is_stable():
         ((1, 2, 1, 1), (3,)): rand_complex(rng),
     })
     assert json.dumps(form_to_records(A)) == json.dumps(form_to_records(A))
+
+
+def _point(k):
+    return {"degree": 0, "dirs": [], "k": k, "re": 1.0, "im": 0.0}
+
+
+def test_far_apart_sites_rejected(tmp_path):
+    # the box between these two sites would hold about 1e20 sites
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps([_point([0, 0, 0, 0]),
+                                _point([100000] * 4)]))
+    with pytest.raises(SchemaError, match="box of"):
+        load_form(str(path))
+
+
+def test_largest_box_loads():
+    n = round(MAX_LOAD_SITES ** 0.25)
+    A = records_to_form([_point([1, 1, 1, 1]), _point([n, n, n, n])])
+    assert A.get(((n, n, n, n), ())) == 1
+    with pytest.raises(SchemaError, match="box of"):
+        records_to_form([_point([1, 1, 1, 1]), _point([n, n, n, n + 1])])
+
+
+@pytest.mark.parametrize("x", [2 ** 63, -2 ** 63 - 1, 10 ** 30])
+def test_site_outside_int64_rejected(tmp_path, x):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps([_point([x, 0, 0, 0])]))
+    with pytest.raises(SchemaError, match="record 0"):
+        load_form(str(path))

@@ -4,10 +4,10 @@
 
 Each commit is exported with ``git archive`` into a temporary directory and
 run there with ``perfbench/run.py``, so the benchmark of each side is the one
-committed with it.  For every workload the script runs ``--pairs`` pairs of
-``--trace 0`` runs with seeds 1, 2, ..., alternating which side goes first,
-then ``--holdout-pairs`` pairs on the hold-out seed 9973, then one
-``--trace 1 --seed 1`` run per side.  It writes every run, per-side medians
+committed with it.  Workloads and run length are read from ``BENCHMARK.json``.
+For every workload the script runs ten pairs of ``--trace 0`` runs with seeds
+1..10, alternating which side goes first, then three pairs on the hold-out
+seed 9973, then one ``--trace 1 --seed 1`` run per side.  It writes every run, per-side medians
 and quartiles, the pairs each side won, the git SHAs and the Python and
 numpy versions.  It runs one benchmark process at a time.
 """
@@ -27,7 +27,12 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+CONTRACT = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in CONTRACT["workloads"]]
+SECONDS = CONTRACT["run_seconds"]
+PAIRS = 10
 HOLDOUT_SEED = 9973
+HOLDOUT_PAIRS = 3
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 
 
@@ -45,12 +50,11 @@ def export(ref: str, dest: Path) -> Path:
     return dest
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float,
-        trace: int) -> dict:
+def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One benchmark run; returns its result line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace",
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace",
          str(trace)], cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree.name} {workload} seed {seed}: exit "
@@ -68,7 +72,7 @@ def summary(values: list) -> dict:
             "min": min(values), "max": max(values)}
 
 
-def pairs(trees: dict, workload: str, seeds: list, seconds: float) -> list:
+def pairs(trees: dict, workload: str, seeds: list) -> list:
     """Alternating runs: even pairs start with the parent, odd ones with the
     change."""
     out = []
@@ -76,7 +80,7 @@ def pairs(trees: dict, workload: str, seeds: list, seconds: float) -> list:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"first": order[0]}
         for side in order:
-            pair[side] = run(trees[side], workload, seed, seconds, 0)
+            pair[side] = run(trees[side], workload, seed, 0)
             print(f"{workload} seed {seed} {side}: "
                   f"{pair[side]['metrics']}", flush=True)
         out.append(pair)
@@ -109,11 +113,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--workloads", nargs="+",
-                        default=["identities", "waves", "exact"])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--holdout-pairs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=40)
     args = parser.parse_args(argv)
 
     shas = {"parent": git("rev-parse", args.parent),
@@ -122,16 +121,13 @@ def main(argv=None) -> int:
         trees = {side: export(sha, Path(tmp) / side)
                  for side, sha in shas.items()}
         workloads = {}
-        for w in args.workloads:
-            runs = pairs(trees, w, list(range(1, args.pairs + 1)),
-                         args.seconds)
-            holdout = pairs(trees, w, [HOLDOUT_SEED] * args.holdout_pairs,
-                            args.seconds)
+        for w in WORKLOADS:
+            runs = pairs(trees, w, list(range(1, PAIRS + 1)))
+            holdout = pairs(trees, w, [HOLDOUT_SEED] * HOLDOUT_PAIRS)
             workloads[w] = {
                 "runs": runs, "summary": compare(runs),
-                "holdout_runs": holdout,
-                "holdout_summary": compare(holdout) if holdout else None,
-                "trace_seed_1": {side: run(trees[side], w, 1, args.seconds, 1)
+                "holdout_runs": holdout, "holdout_summary": compare(holdout),
+                "trace_seed_1": {side: run(trees[side], w, 1, 1)
                                  for side in ("parent", "change")},
             }
     record = {
@@ -139,7 +135,7 @@ def main(argv=None) -> int:
                              *(argv if argv is not None else sys.argv[1:])]),
         "benchmark_command": "python3 perfbench/run.py --workload W "
                              "--seed S --seconds T --trace 0|1",
-        "seconds": args.seconds,
+        "seconds": SECONDS,
         "git": shas,
         "python": platform.python_version(),
         "numpy": np.__version__,
