@@ -25,7 +25,6 @@ from .forms import DiscreteForm, InhomogeneousForm, _entries, _form, _parts, \
 
 
 MAX_LOAD_SITES = 32 ** 4
-_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 class SchemaError(ValueError):
@@ -67,11 +66,9 @@ def _validate_record(rec, i: int):
         )
     if len(dirs) != degree:
         raise SchemaError(f"record {i}: len(dirs) != degree")
-    if not isinstance(k, list) or len(k) != 4 or any(
-            not isinstance(x, int) or isinstance(x, bool) or x not in _INT64
-            for x in k):
-        raise SchemaError(
-            f"record {i}: k must be a list of four 64-bit integers")
+    if not isinstance(k, list) or len(k) != 4 \
+            or any(not isinstance(x, int) or isinstance(x, bool) for x in k):
+        raise SchemaError(f"record {i}: k must be a list of four integers")
     for field in ("re", "im"):
         v = rec[field]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -95,7 +92,11 @@ def records_to_form(records) -> InhomogeneousForm:
             rows[rec["degree"]].append((BLADE_SLOT[key[1]], *key[0], c))
     for r, part in enumerate(rows):
         axes = list(zip(*part))[1:5]  # columns k0..k3 of (slot, k, c)
-        sites = math.prod(max(x) - min(x) + 1 for x in axes)
+        lo, hi = [min(x) for x in axes], [max(x) for x in axes]
+        if min(lo, default=0) < -2 ** 63 or max(hi, default=0) >= 2 ** 63:
+            raise SchemaError(f"degree-{r} records: a site index is outside "
+                              f"the 64-bit range")
+        sites = math.prod(h - l + 1 for l, h in zip(lo, hi))
         if sites > MAX_LOAD_SITES:
             raise SchemaError(f"degree-{r} records span a box of {sites} "
                               f"sites, more than {MAX_LOAD_SITES}")

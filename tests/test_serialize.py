@@ -139,5 +139,5 @@ def test_largest_box_loads():
 def test_site_outside_int64_rejected(tmp_path, x):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps([_point([x, 0, 0, 0])]))
-    with pytest.raises(SchemaError, match="record 0"):
+    with pytest.raises(SchemaError, match="64-bit"):
         load_form(str(path))
