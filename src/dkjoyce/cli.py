@@ -34,11 +34,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .complex4 import AXES, METRIC, Chain, boundary, pair, tau_all
+from .complex4 import (AXES, GRADE_BLADES, METRIC, Chain, boundary, pair,
+                       tau_all)
 from .forms import (
     DiscreteForm,
     InhomogeneousForm,
     Window,
+    _assemble,
+    _form,
     coboundary,
     codifferential,
     cup,
@@ -136,16 +139,25 @@ class SuiteConfig:
 # ---------------------------------------------------------------------------
 # random inputs
 
-def _rand_complex(rng) -> complex:
-    return complex(rng.integers(-9, 10), rng.integers(-9, 10))
+def _draw(rng, shape: tuple) -> np.ndarray:
+    """Complex values with integer parts in -9..9 from one draw: the last
+    axis varies fastest and each real part is drawn before its imaginary
+    part, as one scalar draw per part in that order would give."""
+    parts = rng.integers(-9, 10, size=shape + (2,)).astype(float)
+    return parts.view(complex)[..., 0]
+
+
+def _random_box(rng, blades, origin, n) -> InhomogeneousForm:
+    """Random values on ``blades`` at the sites ``origin`` .. ``origin + n -
+    1``, drawn site by site in ``Window.sites()`` order, blade by blade."""
+    vals = _draw(rng, tuple(n) + (len(blades),))
+    return _assemble([(b, 1, origin, vals[..., i])
+                      for i, b in enumerate(blades)])
 
 
 def random_form(rng, degree: int, win: Window) -> DiscreteForm:
-    coeffs = {}
-    for k in win.sites():
-        for dirs in itertools.combinations(AXES, degree):
-            coeffs[(k, dirs)] = _rand_complex(rng)
-    return DiscreteForm(degree, coeffs)
+    return _random_box(rng, GRADE_BLADES[degree], (1, 1, 1, 1),
+                       win.n).part(degree)
 
 
 def random_inhomogeneous(rng, win: Window) -> InhomogeneousForm:
@@ -191,11 +203,8 @@ def check_pairing_duality(cfg, rng):
     worst = 0.0
     for degree in range(1, 5):
         for _ in range(5):
-            a = Chain({
-                (k, dirs): _rand_complex(rng)
-                for k in win.sites()
-                for dirs in itertools.combinations(AXES, degree)
-            })
+            a = Chain(dict(_random_box(rng, GRADE_BLADES[degree],
+                                       (1, 1, 1, 1), win.n).items()))
             w = random_form(rng, degree - 1, win)
             worst = max(worst, abs(pair(boundary(a), w) - pair(a, coboundary(w))))
     return _max_le(worst, cfg.tol)
@@ -256,20 +265,12 @@ def check_star_inverse(cfg, rng):
 def check_adjointness(cfg, rng):
     # (d u, v) = (u, delta v) with a one-cell margin inside the window
     outer = Window(cfg.window)
-    inner_n = tuple(x - 1 for x in cfg.window)
+    inner_n = tuple(x - 2 for x in cfg.window)
     worst = 0.0
     for degree in range(4):
         for _ in range(5):
-            u = DiscreteForm(degree, {
-                (k, dirs): _rand_complex(rng)
-                for k in itertools.product(*(range(2, x + 1) for x in inner_n))
-                for dirs in itertools.combinations(AXES, degree)
-            })
-            v = DiscreteForm(degree + 1, {
-                (k, dirs): _rand_complex(rng)
-                for k in itertools.product(*(range(2, x + 1) for x in inner_n))
-                for dirs in itertools.combinations(AXES, degree + 1)
-            })
+            u, v = (_random_box(rng, GRADE_BLADES[r], (2, 2, 2, 2),
+                                inner_n).part(r) for r in (degree, degree + 1))
             lhs = inner_product(coboundary(u), v, outer)
             rhs = inner_product(u, codifferential(v), outer)
             worst = max(worst, abs(lhs - rhs))
@@ -296,10 +297,8 @@ def check_star_d_star_shift(cfg, rng):
         w = random_form(rng, degree, win)
         got = star_d_star(w)
         want = codifferential(w)
-        shifted = DiscreteForm(
-            degree - 1,
-            {(tau_all(k), d): c for (k, d), c in want.items()},
-        )
+        shifted = _form(degree - 1, tau_all(want.origin), want.data,
+                        want.slots)
         worst = max(worst, (got - shifted).max_norm())
     return _max_le(worst, cfg.tol)
 
@@ -340,9 +339,7 @@ def check_clifford_associativity(cfg, rng):
 def check_clifford_unit(cfg, rng):
     win = Window((3, 3, 3, 3))
     x = unit_form((), win)
-    A = InhomogeneousForm.from_coeffs({
-        (k, b): _rand_complex(rng) for k in win.sites() for b in ALL_BLADES
-    })
+    A = _random_box(rng, ALL_BLADES, (1, 1, 1, 1), win.n)
     worst = max((clifford_mul(x, A) - A).max_norm(),
                 (clifford_mul(A, x) - A).max_norm())
     return _max_le(worst, cfg.tol)
@@ -406,7 +403,7 @@ IDENTITY_CHECKS = {
 # plane-wave checks
 
 def _random_amplitudes(rng) -> EvenAmplitudes:
-    return EvenAmplitudes(*[_rand_complex(rng) for _ in range(8)])
+    return EvenAmplitudes(*_draw(rng, (8,)).tolist())
 
 
 def planewave_checks(cfg, rng) -> List[dict]:

@@ -134,10 +134,10 @@ def decomposition(O: InhomogeneousForm) -> InhomogeneousForm:
     return InhomogeneousForm(parts)
 
 
-def _require_even(O: InhomogeneousForm, tol: float = 1e-12):
+def _require_even(O: InhomogeneousForm):
     odd = max(O.part(1).max_norm(), O.part(3).max_norm())
-    if odd > tol:
-        raise NotEven(f"odd-grade max-norm {odd} exceeds tolerance {tol}")
+    if odd > 1e-12:
+        raise NotEven(f"odd-grade max-norm {odd} exceeds tolerance 1e-12")
 
 
 def joyce_apply_rhs(Oev: InhomogeneousForm, m: float) -> InhomogeneousForm:
@@ -228,31 +228,44 @@ JOYCE_RHS = {
 }
 
 
-def _push_diff(out: dict, target, sign: int, kind: str, mu: int, src_form,
-               src):
-    """Accumulate sign * Delta^kind_mu (source component) into out[target]."""
-    for (k, d), c in src_form.items():
-        if d != src:
-            continue
-        s = c if sign > 0 else -c
-        if kind == "+":
-            lo = (sigma_shift(k, mu), target)
-            out[lo] = out.get(lo, 0) + s
-            out[(k, target)] = out.get((k, target), 0) - s
-        else:
-            out[(k, target)] = out.get((k, target), 0) + s
-            hi = (tau_shift(k, mu), target)
-            out[hi] = out.get(hi, 0) - s
+def _reads(targets) -> dict:
+    """Per source component, the (target, sign, kind, axis) of every term of
+    ``targets`` that reads it, in table order."""
+    reads: dict = {}
+    for target in targets:
+        for sign, kind, mu, src in DK_SYSTEM[target]:
+            reads.setdefault(src, []).append((target, sign, kind, mu))
+    return reads
+
+
+_DK_READS = _reads(DK_SYSTEM)
+_JOYCE_READS = _reads(JOYCE_TARGETS)
+# per even source component, the (sign, target) of its JOYCE_RHS entry
+_RHS_READS = {src: (sign, target) for target, (sign, src) in JOYCE_RHS.items()}
+
+
+def _push_diffs(O: InhomogeneousForm, reads: dict) -> dict:
+    """Per (k, target), the sum of sign * Delta^kind_mu (source component)
+    over the terms in ``reads``; each coefficient of O is walked once."""
+    out: dict = {}
+    for (k, d), c in O.items():
+        for target, sign, kind, mu in reads.get(d, ()):
+            s = c if sign > 0 else -c
+            if kind == "+":
+                lo = (sigma_shift(k, mu), target)
+                out[lo] = out.get(lo, 0) + s
+                out[(k, target)] = out.get((k, target), 0) - s
+            else:
+                out[(k, target)] = out.get((k, target), 0) + s
+                hi = (tau_shift(k, mu), target)
+                out[hi] = out.get(hi, 0) - s
+    return out
 
 
 def dk_system_residual(O: InhomogeneousForm, m: float) -> InhomogeneousForm:
     """Residual of the 16 per-site difference equations (table path)."""
     check_mass(m)
-    out: dict = {}
-    for target, terms in DK_SYSTEM.items():
-        for sign, kind, mu, src in terms:
-            _push_diff(out, target, sign, kind, mu, O.part(len(src)), src)
-    lhs = 1j * InhomogeneousForm.from_coeffs(out)
+    lhs = 1j * InhomogeneousForm.from_coeffs(_push_diffs(O, _DK_READS))
     return lhs - m * O
 
 
@@ -260,17 +273,10 @@ def joyce_system_residual(Oev: InhomogeneousForm, m: float) -> InhomogeneousForm
     """Residual of the 8 per-site difference equations (table path)."""
     check_mass(m)
     _require_even(Oev)
-    out: dict = {}
-    rhs: dict = {}
-    for target in JOYCE_TARGETS:
-        for sign, kind, mu, src in DK_SYSTEM[target]:
-            _push_diff(out, target, sign, kind, mu, Oev.part(len(src)), src)
-        rsign, rsrc = JOYCE_RHS[target]
-        for (k, _d), c in Oev.part(len(rsrc)).items():
-            if _d != rsrc:
-                continue
-            s = c if rsign > 0 else -c
-            key = (k, target)
-            rhs[key] = rhs.get(key, 0) + s
-    lhs = 1j * InhomogeneousForm.from_coeffs(out)
+    rhs = {}
+    for (k, d), c in Oev.items():
+        if d in _RHS_READS:
+            sign, target = _RHS_READS[d]
+            rhs[(k, target)] = c if sign > 0 else -c
+    lhs = 1j * InhomogeneousForm.from_coeffs(_push_diffs(Oev, _JOYCE_READS))
     return lhs - m * InhomogeneousForm.from_coeffs(rhs)

@@ -50,16 +50,9 @@ class DiscreteForm:
     def __init__(self, degree: int, coeffs: Dict[Key, complex] | None = None):
         if degree not in range(5):
             raise ValueError(f"degree must be 0..4, got {degree}")
-        rows = []
-        for (k, dirs), c in (coeffs or {}).items():
-            s = BLADE_SLOT.get(tuple(dirs))
-            if s is None or len(dirs) != degree or len(k) != 4:
-                raise ValueError(f"key {(k, dirs)!r} is not a site and a "
-                                 f"blade of degree {degree}")
-            if c != 0:
-                rows.append((s, *k, c))
         self.degree = degree
-        self.origin, self.data, self.slots = _scatter(degree, rows)
+        self.origin, self.data, self.slots = _scatter(
+            degree, _rows(coeffs, degree)[degree])
 
     @classmethod
     def zero(cls, degree: int) -> "DiscreteForm":
@@ -111,10 +104,6 @@ class DiscreteForm:
     def __neg__(self) -> "DiscreteForm":
         return (-1) * self
 
-    def conjugate(self) -> "DiscreteForm":
-        return _form(self.degree, self.origin, self.data.conjugate(),
-                     self.slots)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteForm) or self.degree != other.degree:
             return False
@@ -131,12 +120,30 @@ def _form(degree, origin, data, slots) -> DiscreteForm:
     return w
 
 
+def _rows(coeffs, degree=None) -> list:
+    """Per degree, the rows (slot, k0..k3, c) of the nonzero values of
+    ``{(k, dirs): c}``; given ``degree``, every key must be of it."""
+    rows: list = [[] for _ in range(5)]
+    for (k, dirs), c in (coeffs or {}).items():
+        s = BLADE_SLOT.get(tuple(dirs))
+        if s is None or len(k) != 4 or degree not in (None, len(dirs)):
+            of = "" if degree is None else f" of degree {degree}"
+            raise ValueError(f"key {(k, dirs)!r} is not a site and a "
+                             f"blade{of}")
+        if c != 0:
+            rows[len(dirs)].append((s, *k, c))
+    return rows
+
+
 def _scatter(degree: int, rows: list):
-    """Origin, box array and slots of the values in rows (slot, k0..k3, c)."""
+    """Origin, box array and slots of the values in rows (slot, k0..k3, c);
+    the only rows-to-box step, so it rejects sites outside the 64-bit range."""
     if not rows:
         empty = np.zeros((len(GRADE_BLADES[degree]), 0, 0, 0, 0), complex)
         return (0,) * 4, empty, ()
     *idx, vals = zip(*rows)
+    if min(map(min, idx[1:])) < -2 ** 63 or max(map(max, idx[1:])) >= 2 ** 63:
+        raise ValueError("a site index is outside the 64-bit range")
     idx = np.array(idx, dtype=np.int64)
     lo = idx[1:].min(axis=1)
     native = all(issubclass(t, _NATIVE) for t in set(map(type, vals)))
@@ -247,8 +254,8 @@ class InhomogeneousForm:
 
     @classmethod
     def from_coeffs(cls, coeffs: Dict[Key, complex]) -> "InhomogeneousForm":
-        return cls([DiscreteForm(r, {key: c for key, c in coeffs.items()
-                                     if len(key[1]) == r}) for r in range(5)])
+        rows = _rows(coeffs)
+        return cls([_form(r, *_scatter(r, rows[r])) for r in range(5)])
 
     def part(self, r: int) -> DiscreteForm:
         return self.parts[r]
@@ -308,9 +315,6 @@ class Window:
 
     def sites(self) -> Iterator[MultiIndex]:
         return itertools.product(*(range(1, x + 1) for x in self.n))
-
-    def contains(self, k: MultiIndex) -> bool:
-        return all(1 <= k[mu] <= self.n[mu] for mu in AXES)
 
     def is_interior(self, k: MultiIndex) -> bool:
         return all(2 <= k[mu] <= self.n[mu] - 1 for mu in AXES)

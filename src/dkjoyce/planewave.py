@@ -72,10 +72,6 @@ class EvenAmplitudes:
         return np.array(astuple(self), dtype=complex)
 
     @classmethod
-    def from_vector(cls, v: Sequence[complex]) -> "EvenAmplitudes":
-        return cls(*[complex(x) for x in v])
-
-    @classmethod
     def from_json(cls, data) -> "EvenAmplitudes":
         """Parse a JSON object of amplitudes, e.g. ``{"alpha0": [1, 0]}``.
 

@@ -19,9 +19,9 @@ import json
 import math
 from typing import List
 
-from .complex4 import AXES, BLADE_SLOT, GRADE_BLADES
+from .complex4 import AXES, GRADE_BLADES
 from .forms import DiscreteForm, InhomogeneousForm, _entries, _form, _parts, \
-    _scatter
+    _rows, _scatter
 
 
 MAX_LOAD_SITES = 32 ** 4
@@ -79,29 +79,25 @@ def records_to_form(records) -> InhomogeneousForm:
     """Rebuild an inhomogeneous form from coefficient records."""
     if not isinstance(records, list):
         raise SchemaError("top level: expected a list of records")
-    seen: set = set()
-    rows: list = [[] for _ in range(5)]
+    coeffs: dict = {}
     for i, rec in enumerate(records):
         _validate_record(rec, i)
         key = (tuple(rec["k"]), tuple(rec["dirs"]))
-        if key in seen:
+        if key in coeffs:
             raise SchemaError(f"record {i}: duplicate key {key}")
-        seen.add(key)
-        c = complex(rec["re"], rec["im"])
-        if c:
-            rows[rec["degree"]].append((BLADE_SLOT[key[1]], *key[0], c))
-    for r, part in enumerate(rows):
+        coeffs[key] = complex(rec["re"], rec["im"])
+    parts = []
+    for r, part in enumerate(_rows(coeffs)):
         axes = list(zip(*part))[1:5]  # columns k0..k3 of (slot, k, c)
-        lo, hi = [min(x) for x in axes], [max(x) for x in axes]
-        if min(lo, default=0) < -2 ** 63 or max(hi, default=0) >= 2 ** 63:
-            raise SchemaError(f"degree-{r} records: a site index is outside "
-                              f"the 64-bit range")
-        sites = math.prod(h - l + 1 for l, h in zip(lo, hi))
+        sites = math.prod(max(x) - min(x) + 1 for x in axes)
         if sites > MAX_LOAD_SITES:
             raise SchemaError(f"degree-{r} records span a box of {sites} "
                               f"sites, more than {MAX_LOAD_SITES}")
-    return InhomogeneousForm([_form(r, *_scatter(r, rows[r]))
-                              for r in range(5)])
+        try:
+            parts.append(_form(r, *_scatter(r, part)))
+        except ValueError as exc:  # a site outside the 64-bit range
+            raise SchemaError(f"degree-{r} records: {exc}") from exc
+    return InhomogeneousForm(parts)
 
 
 def records_to_discrete_form(records, degree: int) -> DiscreteForm:

@@ -1,18 +1,24 @@
 import csv
+import itertools
 import json
 
+import numpy as np
 import pytest
 
+from dkjoyce import DiscreteForm, Window
 from dkjoyce.cli import (
     ConfigInvalid,
     SuiteConfig,
+    _random_amplitudes,
     config_from_args,
     build_parser,
     dispersion_scan,
     format_report,
     main,
+    random_form,
     run_suite,
 )
+from dkjoyce.planewave import EvenAmplitudes
 
 
 def run(argv):
@@ -171,3 +177,26 @@ def test_amplitudes_file_rejected(tmp_path, capsys, text):
     assert run(["run", "--suite", "planewave", "--amplitudes", str(amp)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_inputs_equal_per_value_draws(seed):
+    # each suite input is one array draw; it must give the values, and leave
+    # the generator in the state, of one scalar draw per real and imaginary
+    # part taken site by site, then blade by blade, re before im
+    win = Window((3, 4, 3, 5))
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+
+    def value():
+        return complex(slow.integers(-9, 10), slow.integers(-9, 10))
+
+    for degree in range(5):
+        got = random_form(fast, degree, win)
+        want = DiscreteForm(degree, {
+            (k, dirs): value() for k in win.sites()
+            for dirs in itertools.combinations(range(4), degree)})
+        assert list(got.items()) == list(want.items())
+        assert fast.bit_generator.state == slow.bit_generator.state
+    assert _random_amplitudes(fast) == EvenAmplitudes(
+        *[value() for _ in range(8)])
+    assert fast.bit_generator.state == slow.bit_generator.state

@@ -329,6 +329,14 @@ def test_native_coefficients_come_back_complex():
     assert DiscreteForm.basis(k, (0,), q).get((k, (0,))) is q
 
 
+@pytest.mark.parametrize("x", [2 ** 63, -2 ** 63 - 1])
+def test_site_outside_int64_is_a_value_error(x):
+    with pytest.raises(ValueError, match="64-bit"):
+        DiscreteForm(0, {((x, 0, 0, 0), ()): 1})
+    with pytest.raises(ValueError, match="64-bit"):
+        InhomogeneousForm.from_coeffs({((0, x, 0, 0), (1,)): 1})
+
+
 # ---------------------------------------------------------------------------
 # properties of the box representation on random sparse supports
 
