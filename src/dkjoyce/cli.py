@@ -139,35 +139,39 @@ class SuiteConfig:
 # ---------------------------------------------------------------------------
 # random inputs
 
-def _draw(rng, shape: tuple) -> np.ndarray:
-    """Complex values with integer parts in -9..9 from one draw: the last
-    axis varies fastest and each real part is drawn before its imaginary
-    part, as one scalar draw per part in that order would give."""
-    parts = rng.integers(-9, 10, size=shape + (2,)).astype(float)
-    return parts.view(complex)[..., 0]
+def _random_boxes(rng, groups, win: Window, origin=(1, 1, 1, 1)) -> list:
+    """One form per group of blades, with complex values of integer parts
+    in -9..9 on the sites ``origin`` .. ``origin + win.n - 1``, all from one
+    draw in the order of one scalar draw per part: group by group, site by
+    site in ``Window.sites()`` order, blade by blade, real before imaginary."""
+    size = sum(map(len, groups)) * math.prod(win.n)
+    vals = rng.integers(-9, 10, size=(size, 2)).astype(float).view(complex)
+    forms = []
+    for blades in groups:
+        a, vals = np.split(vals, [len(blades) * math.prod(win.n)])
+        a = a.reshape(tuple(win.n) + (len(blades),))
+        forms.append(_assemble([(b, 1, origin, a[..., i])
+                                for i, b in enumerate(blades)]))
+    return forms
 
 
-def _random_box(rng, blades, origin, n) -> InhomogeneousForm:
-    """Random values on ``blades`` at the sites ``origin`` .. ``origin + n -
-    1``, drawn site by site in ``Window.sites()`` order, blade by blade."""
-    vals = _draw(rng, tuple(n) + (len(blades),))
-    return _assemble([(b, 1, origin, vals[..., i])
-                      for i, b in enumerate(blades)])
+def _random_forms(rng, degrees, win: Window, origin=(1, 1, 1, 1)) -> list:
+    """:func:`_random_boxes` with the blades of one degree per form."""
+    return [A.part(r) for r, A in zip(degrees, _random_boxes(
+        rng, [GRADE_BLADES[r] for r in degrees], win, origin))]
 
 
 def random_form(rng, degree: int, win: Window) -> DiscreteForm:
-    return _random_box(rng, GRADE_BLADES[degree], (1, 1, 1, 1),
-                       win.n).part(degree)
+    return _random_forms(rng, [degree], win)[0]
 
 
 def random_inhomogeneous(rng, win: Window) -> InhomogeneousForm:
-    return InhomogeneousForm([random_form(rng, r, win) for r in range(5)])
+    return InhomogeneousForm(_random_forms(rng, range(5), win))
 
 
 def random_even(rng, win: Window) -> InhomogeneousForm:
     parts = [DiscreteForm.zero(r) for r in range(5)]
-    for r in (0, 2, 4):
-        parts[r] = random_form(rng, r, win)
+    parts[::2] = _random_forms(rng, (0, 2, 4), win)
     return InhomogeneousForm(parts)
 
 
@@ -182,8 +186,7 @@ def check_nilpotency_d(cfg, rng):
     win = Window(cfg.window)
     worst = 0.0
     for degree in range(4):
-        for _ in range(5):
-            w = random_form(rng, degree, win)
+        for w in _random_forms(rng, [degree] * 5, win):
             worst = max(worst, coboundary(coboundary(w)).max_norm())
     return _max_le(worst, cfg.tol)
 
@@ -192,8 +195,7 @@ def check_nilpotency_delta(cfg, rng):
     win = Window(cfg.window)
     worst = 0.0
     for degree in range(1, 5):
-        for _ in range(5):
-            w = random_form(rng, degree, win)
+        for w in _random_forms(rng, [degree] * 5, win):
             worst = max(worst, codifferential(codifferential(w)).max_norm())
     return _max_le(worst, cfg.tol)
 
@@ -203,9 +205,8 @@ def check_pairing_duality(cfg, rng):
     worst = 0.0
     for degree in range(1, 5):
         for _ in range(5):
-            a = Chain(dict(_random_box(rng, GRADE_BLADES[degree],
-                                       (1, 1, 1, 1), win.n).items()))
-            w = random_form(rng, degree - 1, win)
+            c, w = _random_forms(rng, (degree, degree - 1), win)
+            a = Chain(dict(c.items()))
             worst = max(worst, abs(pair(boundary(a), w) - pair(a, coboundary(w))))
     return _max_le(worst, cfg.tol)
 
@@ -216,8 +217,7 @@ def check_leibniz(cfg, rng):
     for r in range(5):
         for q in range(5 - r):
             for _ in range(3):
-                u = random_form(rng, r, win)
-                v = random_form(rng, q, win)
+                u, v = _random_forms(rng, (r, q), win)
                 lhs = coboundary(cup(u, v))
                 rhs = cup(coboundary(u), v) \
                     + (-1) ** r * cup(u, coboundary(v))
@@ -265,12 +265,12 @@ def check_star_inverse(cfg, rng):
 def check_adjointness(cfg, rng):
     # (d u, v) = (u, delta v) with a one-cell margin inside the window
     outer = Window(cfg.window)
-    inner_n = tuple(x - 2 for x in cfg.window)
+    inner = Window(tuple(x - 2 for x in cfg.window))
     worst = 0.0
     for degree in range(4):
         for _ in range(5):
-            u, v = (_random_box(rng, GRADE_BLADES[r], (2, 2, 2, 2),
-                                inner_n).part(r) for r in (degree, degree + 1))
+            u, v = _random_forms(rng, (degree, degree + 1), inner,
+                                 (2, 2, 2, 2))
             lhs = inner_product(coboundary(u), v, outer)
             rhs = inner_product(u, codifferential(v), outer)
             worst = max(worst, abs(lhs - rhs))
@@ -339,7 +339,7 @@ def check_clifford_associativity(cfg, rng):
 def check_clifford_unit(cfg, rng):
     win = Window((3, 3, 3, 3))
     x = unit_form((), win)
-    A = _random_box(rng, ALL_BLADES, (1, 1, 1, 1), win.n)
+    A, = _random_boxes(rng, [ALL_BLADES], win)
     worst = max((clifford_mul(x, A) - A).max_norm(),
                 (clifford_mul(A, x) - A).max_norm())
     return _max_le(worst, cfg.tol)
@@ -403,7 +403,8 @@ IDENTITY_CHECKS = {
 # plane-wave checks
 
 def _random_amplitudes(rng) -> EvenAmplitudes:
-    return EvenAmplitudes(*_draw(rng, (8,)).tolist())
+    return EvenAmplitudes(*[complex(*z) for z in
+                            rng.integers(-9, 10, size=(8, 2)).tolist()])
 
 
 def planewave_checks(cfg, rng) -> List[dict]:

@@ -273,10 +273,7 @@ def joyce_system_residual(Oev: InhomogeneousForm, m: float) -> InhomogeneousForm
     """Residual of the 8 per-site difference equations (table path)."""
     check_mass(m)
     _require_even(Oev)
-    rhs = {}
-    for (k, d), c in Oev.items():
-        if d in _RHS_READS:
-            sign, target = _RHS_READS[d]
-            rhs[(k, target)] = c if sign > 0 else -c
+    rhs = {(k, _RHS_READS[d][1]): c if _RHS_READS[d][0] > 0 else -c
+           for (k, d), c in Oev.items() if d in _RHS_READS}
     lhs = 1j * InhomogeneousForm.from_coeffs(_push_diffs(Oev, _JOYCE_READS))
     return lhs - m * InhomogeneousForm.from_coeffs(rhs)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dkjoyce import DiscreteForm, Window
+from dkjoyce import DiscreteForm, InhomogeneousForm, Window
 from dkjoyce.cli import (
     ConfigInvalid,
     SuiteConfig,
@@ -16,6 +16,7 @@ from dkjoyce.cli import (
     format_report,
     main,
     random_form,
+    random_inhomogeneous,
     run_suite,
 )
 from dkjoyce.planewave import EvenAmplitudes
@@ -190,13 +191,19 @@ def test_random_inputs_equal_per_value_draws(seed):
     def value():
         return complex(slow.integers(-9, 10), slow.integers(-9, 10))
 
-    for degree in range(5):
-        got = random_form(fast, degree, win)
-        want = DiscreteForm(degree, {
+    def form(degree):
+        return DiscreteForm(degree, {
             (k, dirs): value() for k in win.sites()
             for dirs in itertools.combinations(range(4), degree)})
-        assert list(got.items()) == list(want.items())
+
+    for degree in range(5):
+        got = random_form(fast, degree, win)
+        assert list(got.items()) == list(form(degree).items())
         assert fast.bit_generator.state == slow.bit_generator.state
+    got = random_inhomogeneous(fast, win)
+    assert list(got.items()) == list(
+        InhomogeneousForm([form(r) for r in range(5)]).items())
+    assert fast.bit_generator.state == slow.bit_generator.state
     assert _random_amplitudes(fast) == EvenAmplitudes(
         *[value() for _ in range(8)])
     assert fast.bit_generator.state == slow.bit_generator.state
