@@ -52,7 +52,7 @@ class DiscreteForm:
             raise ValueError(f"degree must be 0..4, got {degree}")
         self.degree = degree
         self.origin, self.data, self.slots = _scatter(
-            degree, _rows(coeffs, degree)[degree])
+            degree, *_rows(coeffs, degree)[degree])
 
     @classmethod
     def zero(cls, degree: int) -> "DiscreteForm":
@@ -69,6 +69,8 @@ class DiscreteForm:
 
     def get(self, key: Key, default=0):
         k, dirs = key
+        if len(k) != 4:
+            raise ValueError(f"site {k!r} does not have four components")
         i = (BLADE_SLOT.get(tuple(dirs), -1),
              *map(operator.sub, k, self.origin))
         c = self.data.item(i) if len(dirs) == self.degree and min(i) >= 0 \
@@ -121,8 +123,11 @@ def _form(degree, origin, data, slots) -> DiscreteForm:
 
 
 def _rows(coeffs, degree=None) -> list:
-    """Per degree, the rows (slot, k0..k3, c) of the nonzero values of
-    ``{(k, dirs): c}``; given ``degree``, every key must be of it."""
+    """Per degree, the columns (slots, sites, values) of the nonzero values
+    of ``{(k, dirs): c}``; given ``degree``, every key must be of it."""
+    if not _typed(itertools.chain.from_iterable(map(operator.itemgetter(0), (
+            coeffs or {}))), int, np.integer):  # int64 would take 1.5 as 1
+        raise ValueError("site components must be integers, not bools")
     rows: list = [[] for _ in range(5)]
     for (k, dirs), c in (coeffs or {}).items():
         s = BLADE_SLOT.get(tuple(dirs))
@@ -131,26 +136,32 @@ def _rows(coeffs, degree=None) -> list:
             raise ValueError(f"key {(k, dirs)!r} is not a site and a "
                              f"blade{of}")
         if c != 0:
-            rows[len(dirs)].append((s, *k, c))
-    return rows
+            rows[len(dirs)].append((s, k, c))
+    return [tuple(zip(*r)) or ((), (), ()) for r in rows]
 
 
-def _scatter(degree: int, rows: list):
-    """Origin, box array and slots of the values in rows (slot, k0..k3, c);
+def _typed(col, *types) -> bool:
+    """Whether every entry of ``col`` is an instance of ``types``, not bool."""
+    seen = set(map(type, col))
+    return bool not in seen and all(issubclass(t, types) for t in seen)
+
+
+def _scatter(degree: int, slots, sites, values):
+    """Origin, box array and slots of ``values`` at ``slots`` and ``sites``;
     the only rows-to-box step, so it rejects sites outside the 64-bit range."""
-    if not rows:
+    if not len(values):
         empty = np.zeros((len(GRADE_BLADES[degree]), 0, 0, 0, 0), complex)
         return (0,) * 4, empty, ()
-    *idx, vals = zip(*rows)
-    if min(map(min, idx[1:])) < -2 ** 63 or max(map(max, idx[1:])) >= 2 ** 63:
-        raise ValueError("a site index is outside the 64-bit range")
-    idx = np.array(idx, dtype=np.int64)
-    lo = idx[1:].min(axis=1)
-    native = all(issubclass(t, _NATIVE) for t in set(map(type, vals)))
+    try:
+        sites = np.asarray(sites, np.int64)
+    except OverflowError:
+        raise ValueError("a site index is outside the 64-bit range") from None
+    lo = sites.min(axis=0)
+    native = all(issubclass(t, _NATIVE) for t in set(map(type, values)))
     data = np.zeros((len(GRADE_BLADES[degree]),) + tuple(
-        idx[1:].max(axis=1) - lo + 1), complex if native else object)
-    data[(idx[0],) + tuple(idx[1:] - lo[:, None])] = vals
-    return tuple(lo.tolist()), data, tuple(np.unique(idx[0]).tolist())
+        sites.max(axis=0) - lo + 1), complex if native else object)
+    data[(slots, *(sites - lo).T)] = values
+    return tuple(lo.tolist()), data, tuple(np.unique(slots).tolist())
 
 
 _ZERO = [DiscreteForm(r) for r in range(5)]
@@ -255,7 +266,7 @@ class InhomogeneousForm:
     @classmethod
     def from_coeffs(cls, coeffs: Dict[Key, complex]) -> "InhomogeneousForm":
         rows = _rows(coeffs)
-        return cls([_form(r, *_scatter(r, rows[r])) for r in range(5)])
+        return cls([_form(r, *_scatter(r, *rows[r])) for r in range(5)])
 
     def part(self, r: int) -> DiscreteForm:
         return self.parts[r]

@@ -4,9 +4,9 @@ A form is stored as a list of coefficient records
 ``{"degree": r, "dirs": [...], "k": [...], "re": x, "im": y}``, one per
 nonzero coefficient, sorted by (degree, k lexicographically, dirs
 lexicographically): the order in which ``numpy.nonzero`` visits a form's
-box array with the blade slot as the last axis.  Round trips are
-bit-exact for ``complex`` coefficients: re/im pass through JSON floats
-unchanged.
+box array with the blade slot as the last axis.  Round trips are bit-exact
+for ``complex`` coefficients; a non-finite re or im is rejected.  Records
+load column-wise: every check is a reduction over one field of all records.
 
 A loaded form is stored over the bounding box of its sites, so the records
 of one degree may span at most ``MAX_LOAD_SITES`` sites (a 32^4 box); a
@@ -15,16 +15,23 @@ file that names two far-apart sites is rejected, not allocated.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
+from itertools import chain, repeat
+from operator import eq, itemgetter, lt
 from typing import List
 
-from .complex4 import AXES, GRADE_BLADES
+import numpy as np
+
+from .complex4 import BLADE_SLOT, GRADE_BLADES
 from .forms import DiscreteForm, InhomogeneousForm, _entries, _form, _parts, \
-    _rows, _scatter
+    _scatter, _typed
 
 
 MAX_LOAD_SITES = 32 ** 4
+FIELDS = ("degree", "dirs", "k", "re", "im")
+_FLOAT_END = 2 ** 1024 - 2 ** 970  # exactly the ints below it fit a float
 
 
 class SchemaError(ValueError):
@@ -46,55 +53,67 @@ def form_to_records(w) -> List[dict]:
     return records
 
 
-def _validate_record(rec, i: int):
-    if not isinstance(rec, dict):
-        raise SchemaError(f"record {i}: expected an object, got {type(rec).__name__}")
-    for field in ("degree", "dirs", "k", "re", "im"):
-        if field not in rec:
-            raise SchemaError(f"record {i}: missing field {field!r}")
-    unknown = set(rec) - {"degree", "dirs", "k", "re", "im"}
-    if unknown:
-        raise SchemaError(f"record {i}: unknown fields {sorted(unknown)}")
-    degree, dirs, k = rec["degree"], rec["dirs"], rec["k"]
-    if not isinstance(degree, int) or degree not in range(5):
-        raise SchemaError(f"record {i}: degree must be an integer 0..4")
-    if (not isinstance(dirs, list) or len(set(dirs)) != len(dirs)
-            or any(not isinstance(mu, int) or mu not in AXES for mu in dirs)
-            or sorted(dirs) != dirs):
-        raise SchemaError(
-            f"record {i}: dirs must be a sorted list of distinct axes 0..3"
-        )
-    if len(dirs) != degree:
-        raise SchemaError(f"record {i}: len(dirs) != degree")
-    if not isinstance(k, list) or len(k) != 4 \
-            or any(not isinstance(x, int) or isinstance(x, bool) for x in k):
-        raise SchemaError(f"record {i}: k must be a list of four integers")
-    for field in ("re", "im"):
-        v = rec[field]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"record {i}: {field} must be a number")
-
-
 def records_to_form(records) -> InhomogeneousForm:
-    """Rebuild an inhomogeneous form from coefficient records."""
+    """Rebuild an inhomogeneous form from coefficient records; a failing
+    check is bisected to the first record it rejects."""
     if not isinstance(records, list):
         raise SchemaError("top level: expected a list of records")
-    coeffs: dict = {}
-    for i, rec in enumerate(records):
-        _validate_record(rec, i)
-        key = (tuple(rec["k"]), tuple(rec["dirs"]))
-        if key in coeffs:
-            raise SchemaError(f"record {i}: duplicate key {key}")
-        coeffs[key] = complex(rec["re"], rec["im"])
+    n, error = len(records), None
+
+    def check(ok, message):  # ok(m): the first m records pass
+        nonlocal n, error
+        if not ok(n):  # later checks see only the records before n
+            n = bisect.bisect_left(range(n), True, key=lambda m: not ok(m + 1))
+            error = f"record {n}: " + (
+                message(records[n]) if callable(message) else message)
+
+    check(lambda m: _typed(records[:m], dict),
+          lambda r: f"expected an object, got {type(r).__name__}")
+    check(lambda m: all(map(eq, repeat(set(FIELDS)), map(dict.keys, records[
+        :m]))), lambda r: next((f"missing field {f!r}" for f in FIELDS if f
+                                not in r), f"unknown fields "
+                               f"{sorted(set(r) - set(FIELDS))}"))
+    degree, dirs, k, re, im = (list(map(itemgetter(f), records[:n]))
+                               for f in FIELDS)
+    check(lambda m: _typed(degree[:m], int) and set(degree[:m]) <= {
+        0, 1, 2, 3, 4}, "degree must be an integer 0..4")
+    message = "dirs must be a sorted list of distinct axes 0..3"
+    check(lambda m: _typed(dirs[:m], list)
+          and _typed(chain.from_iterable(dirs[:m]), int), message)
+    slot = np.array([*map(BLADE_SLOT.get, map(tuple, dirs[:n]), repeat(-1))])
+    check(lambda m: (slot[:m] >= 0).all(), message)
+    grade = np.fromiter(map(len, dirs[:n]), int)
+    check(lambda m: (grade[:m] == degree[:m]).all(), "len(dirs) != degree")
+    check(lambda m: _typed(k[:m], list) and set(map(len, k[:m])) <= {4}
+          and _typed(chain.from_iterable(k[:m]), int),
+          "k must be a list of four integers")
+    for field, c in (("re", re), ("im", im)):
+        check(lambda m: _typed(c[:m], int, float), f"{field} must be a number")
+        check(lambda m: all(map(lt, map(abs, c[:m]), repeat(_FLOAT_END))),
+              f"{field} must be a finite number")
+    try:
+        sites = np.array(k[:n], np.int64).reshape(n, 4)
+    except OverflowError:  # loads if the records beyond 64 bits are zero
+        sites = np.array(k[:n], object).reshape(n, 4)
+    keys = (*sites.T, grade[:n], slot[:n])
+    order = np.lexsort(keys)  # stable: equal keys stay in record order
+    same = np.logical_and.reduce([c[order[1:]] == c[order[:-1]] for c in keys])
+    check(lambda m: order[1:][same].min(initial=n) >= m,
+          lambda r: f"duplicate key {(tuple(r['k']), tuple(r['dirs']))}")
+    if error:
+        raise SchemaError(error)
+    z = np.array(re[:n], complex)
+    z.imag = im[:n]
     parts = []
-    for r, part in enumerate(_rows(coeffs)):
-        axes = list(zip(*part))[1:5]  # columns k0..k3 of (slot, k, c)
-        sites = math.prod(max(x) - min(x) + 1 for x in axes)
-        if sites > MAX_LOAD_SITES:
-            raise SchemaError(f"degree-{r} records span a box of {sites} "
+    for r in range(5):
+        sel = np.flatnonzero((z != 0) & (grade[:n] == r))
+        s = sites[sel]
+        if sel.size and (box := math.prod(int(h) - int(l) + 1 for l, h in zip(
+                s.min(axis=0), s.max(axis=0)))) > MAX_LOAD_SITES:
+            raise SchemaError(f"degree-{r} records span a box of {box} "
                               f"sites, more than {MAX_LOAD_SITES}")
         try:
-            parts.append(_form(r, *_scatter(r, part)))
+            parts.append(_form(r, *_scatter(r, slot[sel], s, z[sel])))
         except ValueError as exc:  # a site outside the 64-bit range
             raise SchemaError(f"degree-{r} records: {exc}") from exc
     return InhomogeneousForm(parts)

@@ -1,7 +1,9 @@
-"""Shared test helpers: seeded random forms over both scalar types, and the
-closed-form Joyce residual of the plane-wave families."""
+"""Shared test helpers: seeded random forms over both scalar types, the
+closed-form Joyce residual of the plane-wave families, and the row-by-row
+record loader."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -13,12 +15,14 @@ from dkjoyce import (
     blade_product,
 )
 from dkjoyce.complex4 import AXES
+from dkjoyce.forms import _form, _rows, _scatter
 from dkjoyce.planewave import (
     AMPLITUDE_ORDER,
     LABEL_BLADES,
     MINUS_AXES,
     family_amplitude_matrix,
 )
+from dkjoyce.serialize import FIELDS, MAX_LOAD_SITES, SchemaError
 
 AXIS_SETS = {
     r: list(itertools.combinations(AXES, r)) for r in range(5)
@@ -147,3 +151,70 @@ def family_residual_oracle(which, coeffs, p, m, win: Window):
             for blade, s in S.items():
                 out[(k, blade)] = out.get((k, blade), 0) + psi * s
     return InhomogeneousForm.from_coeffs(out)
+
+
+# ---------------------------------------------------------------------------
+# row-by-row record loader: the oracle of serialize.records_to_form
+
+def _validate_record(rec, i: int):
+    if not isinstance(rec, dict):
+        raise SchemaError(f"record {i}: expected an object, "
+                          f"got {type(rec).__name__}")
+    for field in FIELDS:
+        if field not in rec:
+            raise SchemaError(f"record {i}: missing field {field!r}")
+    unknown = set(rec) - set(FIELDS)
+    if unknown:
+        raise SchemaError(f"record {i}: unknown fields {sorted(unknown)}")
+    degree, dirs, k = rec["degree"], rec["dirs"], rec["k"]
+    if not isinstance(degree, int) or isinstance(degree, bool) \
+            or degree not in range(5):
+        raise SchemaError(f"record {i}: degree must be an integer 0..4")
+    if (not isinstance(dirs, list)
+            or any(not isinstance(mu, int) or isinstance(mu, bool)
+                   or mu not in AXES for mu in dirs)
+            or len(set(dirs)) != len(dirs) or sorted(dirs) != dirs):
+        raise SchemaError(
+            f"record {i}: dirs must be a sorted list of distinct axes 0..3"
+        )
+    if len(dirs) != degree:
+        raise SchemaError(f"record {i}: len(dirs) != degree")
+    if not isinstance(k, list) or len(k) != 4 \
+            or any(not isinstance(x, int) or isinstance(x, bool) for x in k):
+        raise SchemaError(f"record {i}: k must be a list of four integers")
+    for field in ("re", "im"):
+        v = rec[field]
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise SchemaError(f"record {i}: {field} must be a number")
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise SchemaError(f"record {i}: {field} must be a finite number")
+
+
+def records_to_form_rowwise(records) -> InhomogeneousForm:
+    """What ``records_to_form`` computes, one record at a time: validate
+    each record, reject a repeated key, then build each degree's box."""
+    if not isinstance(records, list):
+        raise SchemaError("top level: expected a list of records")
+    coeffs: dict = {}
+    for i, rec in enumerate(records):
+        _validate_record(rec, i)
+        key = (tuple(rec["k"]), tuple(rec["dirs"]))
+        if key in coeffs:
+            raise SchemaError(f"record {i}: duplicate key {key}")
+        coeffs[key] = complex(rec["re"], rec["im"])
+    parts = []
+    for r, (slots, sites, values) in enumerate(_rows(coeffs)):
+        if sites:
+            box = math.prod(max(x) - min(x) + 1 for x in zip(*sites))
+            if box > MAX_LOAD_SITES:
+                raise SchemaError(f"degree-{r} records span a box of {box} "
+                                  f"sites, more than {MAX_LOAD_SITES}")
+        try:
+            parts.append(_form(r, *_scatter(r, slots, sites, values)))
+        except ValueError as exc:  # a site outside the 64-bit range
+            raise SchemaError(f"degree-{r} records: {exc}") from exc
+    return InhomogeneousForm(parts)

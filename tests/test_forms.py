@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -335,6 +336,30 @@ def test_site_outside_int64_is_a_value_error(x):
         DiscreteForm(0, {((x, 0, 0, 0), ()): 1})
     with pytest.raises(ValueError, match="64-bit"):
         InhomogeneousForm.from_coeffs({((0, x, 0, 0), (1,)): 1})
+
+
+@pytest.mark.parametrize("x", [1.5, True, 1.0])
+def test_site_components_must_be_integers(x):
+    # a non-integer component would be truncated into another key's site
+    with pytest.raises(ValueError, match="must be integers"):
+        DiscreteForm(0, {((x, 0, 0, 0), ()): 1, ((1, 0, 0, 0), ()): 2})
+    with pytest.raises(ValueError, match="must be integers"):
+        InhomogeneousForm.from_coeffs({((0, 0, 0, x), (2,)): 0})
+
+
+def test_numpy_integer_site_components():
+    k = (np.int64(2), np.uint8(1), np.int32(-3), 0)
+    w = DiscreteForm(1, {(k, (3,)): 4})
+    assert w.origin == (2, 1, -3, 0) and w.get(((2, 1, -3, 0), (3,))) == 4
+
+
+@pytest.mark.parametrize("site", [(1, 1, 1, 1, 5), (1, 1, 1)])
+def test_get_needs_four_components(site):
+    w = DiscreteForm.basis((1, 1, 1, 1), (0,), 2)
+    with pytest.raises(ValueError, match="four components"):
+        w.get((site, (0,)))
+    with pytest.raises(ValueError, match="four components"):
+        InhomogeneousForm.from_form(w).get((site, (0,)))
 
 
 # ---------------------------------------------------------------------------
