@@ -8,6 +8,7 @@ dimension is the size of the direction set.
 
 Chains live downstairs, cochains (discrete forms, see :mod:`dkjoyce.forms`)
 upstairs; the two are connected by a perfect pairing on basis elements.
+Both are stored alike, as one box array per dimension.
 
 Direction sets double as the basis blades of the spacetime Clifford algebra;
 the blade product table :data:`_BLADE_TABLE` built here is the source of
@@ -17,6 +18,7 @@ every operator sign in :mod:`dkjoyce.forms` and :mod:`dkjoyce.clifford`.
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 from typing import Iterable, Tuple
 
 AXES = (0, 1, 2, 3)
@@ -76,42 +78,56 @@ def normalize_dirs(dirs: Iterable[int]) -> DirectionSet:
     return d
 
 
+# below the tables that forms imports; a chain keeps its coefficients in forms
+from . import forms as _forms  # noqa: E402
+
+
 class Chain:
     """A finitely supported linear combination of basis chains.
 
-    Stored as ``terms[(k, dirs)] -> coefficient``; exact-zero coefficients
-    are dropped on construction.
+    Stored like a cochain, as the :class:`~dkjoyce.forms.InhomogeneousForm`
+    ``form``: a key must be a four-integer site and a sorted blade, and one
+    dimension spans at most ``MAX_LOAD_SITES`` sites.  ``terms`` is a
+    read-only ``{(k, dirs): c}`` view of the nonzero coefficients.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("form",)
 
     def __init__(self, terms=None):
-        self.terms = {key: c for key, c in (terms or {}).items() if c != 0}
+        self.form = _forms.InhomogeneousForm.from_coeffs(terms or {})
 
     @classmethod
     def basis(cls, k: MultiIndex, dirs: Iterable[int], coeff=1) -> "Chain":
         return cls({(tuple(k), normalize_dirs(dirs)): coeff})
 
+    @classmethod
+    def from_form(cls, w) -> "Chain":
+        """The chain whose coefficients are the InhomogeneousForm ``w``."""
+        a = object.__new__(cls)
+        a.form = w
+        return a
+
+    @property
+    def terms(self):
+        return MappingProxyType(dict(self.form.items()))
+
     def __add__(self, other: "Chain") -> "Chain":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return Chain(out)
+        return Chain.from_form(self.form + other.form)
 
     def __sub__(self, other: "Chain") -> "Chain":
-        return self + (-1) * other
+        return Chain.from_form(self.form - other.form)
 
     def __rmul__(self, scalar) -> "Chain":
-        return Chain({key: scalar * c for key, c in self.terms.items()})
+        return Chain.from_form(scalar * self.form)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Chain) and self.terms == other.terms
+        return isinstance(other, Chain) and self.form == other.form
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return not self.form.is_zero()
 
     def __repr__(self):
-        return f"Chain({self.terms!r})"
+        return f"Chain({dict(self.terms)!r})"
 
 
 def boundary(a: Chain) -> Chain:
@@ -122,16 +138,15 @@ def boundary(a: Chain) -> Chain:
     factor flips the sign, so the factor at axis mu contributes with sign
     (-1)**(number of interval factors on axes < mu).
     """
-    out: dict = {}
-    for (k, dirs), c in a.terms.items():
-        for i, mu in enumerate(dirs):
-            sign = -c if i % 2 else c
-            nd = tuple(nu for nu in dirs if nu != mu)
-            up = (tau_shift(k, mu), nd)
-            dn = (k, nd)
-            out[up] = out.get(up, 0) + sign
-            out[dn] = out.get(dn, 0) - sign
-    return Chain(out)
+    pieces = []
+    for p in a.form.parts:
+        for s, dirs in p.live():
+            for i, mu in enumerate(dirs):
+                nd = dirs[:i] + dirs[i + 1:]
+                up = _forms._shifted(p.origin, (mu,), 1)
+                pieces += [(nd, (-1) ** i, up, p.data[s]),
+                           (nd, -(-1) ** i, p.origin, p.data[s])]
+    return Chain.from_form(_forms._assemble(pieces))
 
 
 def pair(a: Chain, w) -> complex:
@@ -140,11 +155,12 @@ def pair(a: Chain, w) -> complex:
     ``w`` may be a :class:`~dkjoyce.forms.DiscreteForm` or a
     :class:`~dkjoyce.forms.InhomogeneousForm`; basis elements pair to 1
     exactly when index and direction set agree (so mismatched degrees
-    contribute nothing).
+    contribute nothing).  Each degree is one product-sum over the common box.
     """
     total = 0
-    for key, c in a.terms.items():
-        cw = w.get(key, None)
-        if cw is not None:
-            total = total + c * cw
+    for v in _forms._parts(w):
+        u = a.form.parts[v.degree]
+        box = u.slots and v.slots and _forms._overlap(u, v)
+        if box:
+            total = total + (box[1] * box[2]).sum()
     return total

@@ -16,12 +16,14 @@ from typing import List, Optional
 
 import numpy as np
 
-from .complex4 import AXES, sigma_shift, tau_shift
+from .complex4 import AXES, BLADE_SLOT
 from .forms import (
     DiscreteForm,
     InhomogeneousForm,
     Window,
+    _assemble,
     _parts,
+    _shifted,
     backward_diff,
     coboundary,
     codifferential,
@@ -228,52 +230,36 @@ JOYCE_RHS = {
 }
 
 
-def _reads(targets) -> dict:
-    """Per source component, the (target, sign, kind, axis) of every term of
-    ``targets`` that reads it, in table order."""
-    reads: dict = {}
+def _push_diffs(O: InhomogeneousForm, targets) -> list:
+    """Pieces for :func:`_assemble` of sign * Delta^kind_mu (source
+    component) over the ``DK_SYSTEM`` terms of ``targets``: a difference
+    adds each stored source slice at its own sites and, negated, one site
+    over along mu."""
+    pieces = []
     for target in targets:
         for sign, kind, mu, src in DK_SYSTEM[target]:
-            reads.setdefault(src, []).append((target, sign, kind, mu))
-    return reads
-
-
-_DK_READS = _reads(DK_SYSTEM)
-_JOYCE_READS = _reads(JOYCE_TARGETS)
-# per even source component, the (sign, target) of its JOYCE_RHS entry
-_RHS_READS = {src: (sign, target) for target, (sign, src) in JOYCE_RHS.items()}
-
-
-def _push_diffs(O: InhomogeneousForm, reads: dict) -> dict:
-    """Per (k, target), the sum of sign * Delta^kind_mu (source component)
-    over the terms in ``reads``; each coefficient of O is walked once."""
-    out: dict = {}
-    for (k, d), c in O.items():
-        for target, sign, kind, mu in reads.get(d, ()):
-            s = c if sign > 0 else -c
-            if kind == "+":
-                lo = (sigma_shift(k, mu), target)
-                out[lo] = out.get(lo, 0) + s
-                out[(k, target)] = out.get((k, target), 0) - s
-            else:
-                out[(k, target)] = out.get((k, target), 0) + s
-                hi = (tau_shift(k, mu), target)
-                out[hi] = out.get(hi, 0) - s
-    return out
+            p, s = O.part(len(src)), BLADE_SLOT[src]
+            if s in p.slots:
+                # forward: f(k) lands at k and k - e_mu; backward: k, k + e_mu
+                step = -1 if kind == "+" else 1
+                pieces += [(target, sign * step, p.origin, p.data[s]),
+                           (target, -sign * step,
+                            _shifted(p.origin, (mu,), step), p.data[s])]
+    return pieces
 
 
 def dk_system_residual(O: InhomogeneousForm, m: float) -> InhomogeneousForm:
     """Residual of the 16 per-site difference equations (table path)."""
     check_mass(m)
-    lhs = 1j * InhomogeneousForm.from_coeffs(_push_diffs(O, _DK_READS))
-    return lhs - m * O
+    return 1j * _assemble(_push_diffs(O, DK_SYSTEM)) - m * O
 
 
 def joyce_system_residual(Oev: InhomogeneousForm, m: float) -> InhomogeneousForm:
     """Residual of the 8 per-site difference equations (table path)."""
     check_mass(m)
     _require_even(Oev)
-    rhs = {(k, _RHS_READS[d][1]): c if _RHS_READS[d][0] > 0 else -c
-           for (k, d), c in Oev.items() if d in _RHS_READS}
-    lhs = 1j * InhomogeneousForm.from_coeffs(_push_diffs(Oev, _JOYCE_READS))
-    return lhs - m * InhomogeneousForm.from_coeffs(rhs)
+    rhs = _assemble([(target, sign, p.origin, p.data[BLADE_SLOT[src]])
+                     for target, (sign, src) in JOYCE_RHS.items()
+                     for p in [Oev.part(len(src))]
+                     if BLADE_SLOT[src] in p.slots])
+    return 1j * _assemble(_push_diffs(Oev, JOYCE_TARGETS)) - m * rhs

@@ -3,7 +3,8 @@
 A degree-r form is an integer origin plus one array over the bounding box of
 its support, shaped ``(C(4, r), n0, n1, n2, n3)``: slot s holds the blade
 ``GRADE_BLADES[r][s]``, index i the site ``origin + i``.  Storage is the
-whole box, so two coefficients far apart cost every site between them.  The
+whole box, so two coefficients far apart cost every site between them; a
+form built from coefficients may span at most ``MAX_LOAD_SITES``.  The
 array is complex128 when every coefficient given is a Python int, float or
 complex, else object, so the exact GaussianRational runs the same code.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
@@ -31,6 +33,8 @@ Key = Tuple[MultiIndex, DirectionSet]
 
 # coefficient types stored in a complex128 array; anything else is object
 _NATIVE = (int, float, complex, np.number)
+#: most sites the box of one degree may span when built from coefficients
+MAX_LOAD_SITES = 32 ** 4
 
 
 class NotAdmissible(ValueError):
@@ -148,7 +152,8 @@ def _typed(col, *types) -> bool:
 
 def _scatter(degree: int, slots, sites, values):
     """Origin, box array and slots of ``values`` at ``slots`` and ``sites``;
-    the only rows-to-box step, so it rejects sites outside the 64-bit range."""
+    the only rows-to-box step, so it rejects sites outside the 64-bit range
+    and, before allocating, a box of more than ``MAX_LOAD_SITES`` sites."""
     if not len(values):
         empty = np.zeros((len(GRADE_BLADES[degree]), 0, 0, 0, 0), complex)
         return (0,) * 4, empty, ()
@@ -157,9 +162,13 @@ def _scatter(degree: int, slots, sites, values):
     except OverflowError:
         raise ValueError("a site index is outside the 64-bit range") from None
     lo = sites.min(axis=0)
+    shape = [int(h) - int(l) + 1 for l, h in zip(lo, sites.max(axis=0))]
+    if (box := math.prod(shape)) > MAX_LOAD_SITES:
+        raise ValueError(f"degree-{degree} sites span a box of {box} sites, "
+                         f"more than {MAX_LOAD_SITES}")
     native = all(issubclass(t, _NATIVE) for t in set(map(type, values)))
-    data = np.zeros((len(GRADE_BLADES[degree]),) + tuple(
-        sites.max(axis=0) - lo + 1), complex if native else object)
+    data = np.zeros([len(GRADE_BLADES[degree])] + shape,
+                    complex if native else object)
     data[(slots, *(sites - lo).T)] = values
     return tuple(lo.tolist()), data, tuple(np.unique(slots).tolist())
 

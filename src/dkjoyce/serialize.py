@@ -25,11 +25,9 @@ from typing import List
 import numpy as np
 
 from .complex4 import BLADE_SLOT, GRADE_BLADES
-from .forms import DiscreteForm, InhomogeneousForm, _entries, _form, _parts, \
-    _scatter, _typed
+from .forms import MAX_LOAD_SITES, DiscreteForm, InhomogeneousForm, _entries, \
+    _form, _parts, _scatter, _typed
 
-
-MAX_LOAD_SITES = 32 ** 4
 FIELDS = ("degree", "dirs", "k", "re", "im")
 _FLOAT_END = 2 ** 1024 - 2 ** 970  # exactly the ints below it fit a float
 

@@ -1,6 +1,7 @@
 """Shared test helpers: seeded random forms over both scalar types, the
-closed-form Joyce residual of the plane-wave families, and the row-by-row
-record loader."""
+closed-form Joyce residual of the plane-wave families, and the
+one-coefficient-at-a-time oracles of the box paths: the row-by-row record
+loader, the dict chains and the dict table systems."""
 
 import itertools
 import math
@@ -14,7 +15,9 @@ from dkjoyce import (
     Window,
     blade_product,
 )
-from dkjoyce.complex4 import AXES
+from dkjoyce.complex4 import AXES, normalize_dirs, sigma_shift, tau_shift
+from dkjoyce.dirac_joyce import (DK_SYSTEM, JOYCE_RHS, JOYCE_TARGETS,
+                                 _require_even, check_mass)
 from dkjoyce.forms import _form, _rows, _scatter
 from dkjoyce.planewave import (
     AMPLITUDE_ORDER,
@@ -218,3 +221,101 @@ def records_to_form_rowwise(records) -> InhomogeneousForm:
         except ValueError as exc:  # a site outside the 64-bit range
             raise SchemaError(f"degree-{r} records: {exc}") from exc
     return InhomogeneousForm(parts)
+
+
+# ---------------------------------------------------------------------------
+# coefficient-dict chains: the oracle of complex4.Chain, boundary and pair
+
+class DictChain:
+    """A chain stored as ``terms[(k, dirs)] -> coefficient``; exact-zero
+    coefficients are dropped on construction."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {key: c for key, c in (terms or {}).items() if c != 0}
+
+    @classmethod
+    def basis(cls, k, dirs, coeff=1):
+        return cls({(tuple(k), normalize_dirs(dirs)): coeff})
+
+    def __eq__(self, other):
+        return isinstance(other, DictChain) and self.terms == other.terms
+
+
+def dict_boundary(a: DictChain) -> DictChain:
+    """The boundary, one coefficient at a time: the factor at axis mu
+    contributes with sign (-1)**(its position in dirs)."""
+    out: dict = {}
+    for (k, dirs), c in a.terms.items():
+        for i, mu in enumerate(dirs):
+            sign = -c if i % 2 else c
+            nd = tuple(nu for nu in dirs if nu != mu)
+            up = (tau_shift(k, mu), nd)
+            dn = (k, nd)
+            out[up] = out.get(up, 0) + sign
+            out[dn] = out.get(dn, 0) - sign
+    return DictChain(out)
+
+
+def dict_pair(a: DictChain, w):
+    """The chain-cochain pairing, one coefficient at a time."""
+    total = 0
+    for key, c in a.terms.items():
+        cw = w.get(key, None)
+        if cw is not None:
+            total = total + c * cw
+    return total
+
+
+# ---------------------------------------------------------------------------
+# coefficient-dict table systems: the oracle of dirac_joyce's table path
+
+def _reads(targets) -> dict:
+    """Per source component, the (target, sign, kind, axis) of every term of
+    ``targets`` that reads it, in table order."""
+    reads: dict = {}
+    for target in targets:
+        for sign, kind, mu, src in DK_SYSTEM[target]:
+            reads.setdefault(src, []).append((target, sign, kind, mu))
+    return reads
+
+
+def push_diffs_dict(O, targets) -> dict:
+    """Per (k, target), the sum of sign * Delta^kind_mu (source component)
+    over the DK_SYSTEM terms of ``targets``; each coefficient is walked
+    once."""
+    reads = _reads(targets)
+    out: dict = {}
+    for (k, d), c in O.items():
+        for target, sign, kind, mu in reads.get(d, ()):
+            s = c if sign > 0 else -c
+            if kind == "+":
+                lo = (sigma_shift(k, mu), target)
+                out[lo] = out.get(lo, 0) + s
+                out[(k, target)] = out.get((k, target), 0) - s
+            else:
+                out[(k, target)] = out.get((k, target), 0) + s
+                hi = (tau_shift(k, mu), target)
+                out[hi] = out.get(hi, 0) - s
+    return out
+
+
+def dk_system_residual_dict(O, m):
+    """What ``dk_system_residual`` computes, through a coefficient dict."""
+    check_mass(m)
+    lhs = 1j * InhomogeneousForm.from_coeffs(push_diffs_dict(O, DK_SYSTEM))
+    return lhs - m * O
+
+
+def joyce_system_residual_dict(Oev, m):
+    """What ``joyce_system_residual`` computes, through coefficient dicts."""
+    check_mass(m)
+    _require_even(Oev)
+    rhs_reads = {src: (sign, target)
+                 for target, (sign, src) in JOYCE_RHS.items()}
+    rhs = {(k, rhs_reads[d][1]): c if rhs_reads[d][0] > 0 else -c
+           for (k, d), c in Oev.items() if d in rhs_reads}
+    lhs = 1j * InhomogeneousForm.from_coeffs(
+        push_diffs_dict(Oev, JOYCE_TARGETS))
+    return lhs - m * InhomogeneousForm.from_coeffs(rhs)

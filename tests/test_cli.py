@@ -10,6 +10,9 @@ from dkjoyce.cli import (
     ConfigInvalid,
     SuiteConfig,
     _random_amplitudes,
+    check_clifford_associativity,
+    check_dk_system,
+    check_joyce_system,
     config_from_args,
     build_parser,
     dispersion_scan,
@@ -19,6 +22,8 @@ from dkjoyce.cli import (
     random_inhomogeneous,
     run_suite,
 )
+from dkjoyce.complex4 import _BLADE_TABLE, ALL_BLADES, blade_product
+from dkjoyce.dirac_joyce import DK_SYSTEM, JOYCE_RHS
 from dkjoyce.planewave import EvenAmplitudes
 
 
@@ -207,3 +212,43 @@ def test_random_inputs_equal_per_value_draws(seed):
     assert _random_amplitudes(fast) == EvenAmplitudes(
         *[value() for _ in range(8)])
     assert fast.bit_generator.state == slow.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# each identity check catches a wrong entry in the table it tests
+
+@pytest.mark.parametrize("entry, count", [(((1,), (2,)), 58),
+                                          (((0,), (0,)), 56)])
+def test_associativity_counts_the_failing_triples(monkeypatch, entry, count):
+    sign, blade = _BLADE_TABLE[entry]
+    monkeypatch.setitem(_BLADE_TABLE, entry, (-sign, blade))
+
+    def triple(x, y, z, left):
+        s1, xy = blade_product(*((x, y) if left else (y, z)))
+        s2, xyz = blade_product(*((xy, z) if left else (x, xy)))
+        return s1 * s2, xyz
+
+    brute = sum(triple(a, b, c, True) != triple(a, b, c, False)
+                for a, b, c in itertools.product(ALL_BLADES, repeat=3))
+    assert brute == count
+    value, _threshold, _ = check_clifford_associativity(
+        SuiteConfig(suite="identities"), np.random.default_rng(0))
+    assert value == count
+
+
+def test_flipped_dk_system_sign_fails_the_check(monkeypatch):
+    row = DK_SYSTEM[(0, 1)]
+    sign, kind, mu, src = row[2]
+    monkeypatch.setitem(DK_SYSTEM, (0, 1),
+                        row[:2] + [(-sign, kind, mu, src)] + row[3:])
+    value, threshold, _ = check_dk_system(SuiteConfig(suite="identities"),
+                                          np.random.default_rng(0))
+    assert value > threshold
+
+
+def test_flipped_joyce_rhs_sign_fails_the_check(monkeypatch):
+    sign, src = JOYCE_RHS[(0, 2, 3)]
+    monkeypatch.setitem(JOYCE_RHS, (0, 2, 3), (-sign, src))
+    value, threshold, _ = check_joyce_system(SuiteConfig(suite="identities"),
+                                             np.random.default_rng(0))
+    assert value > threshold

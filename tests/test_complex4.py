@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from dkjoyce import Chain, DiscreteForm, Window, boundary, coboundary, pair
 from dkjoyce.complex4 import AXES, sigma_shift, tau_all, tau_shift
 
@@ -24,6 +26,20 @@ def test_boundary_of_interval():
         ((4, 8, 0, 2), ()): 1,
         ((4, 7, 0, 2), ()): -1,
     })
+
+
+@pytest.mark.parametrize("key", [((1, 1, 1), (0,)), ((1, 1, 1, 1), (1, 0)),
+                                 ((1, 1, 1, 1), (0, 0)), ((1, 1, 1, 1.5), ())])
+def test_chain_keys_are_sites_and_blades(key):
+    with pytest.raises(ValueError):
+        Chain({key: 1})
+
+
+def test_chain_terms_are_a_read_only_view():
+    a = Chain({((0, -3, 0, 2), (1,)): 2, ((0, 0, 0, 0), (1,)): 0})
+    assert a.terms == {((0, -3, 0, 2), (1,)): 2}
+    with pytest.raises(TypeError):
+        a.terms[((0, 0, 0, 0), ())] = 1
 
 
 def test_boundary_squared_zero_exhaustive():

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dkjoyce import (
+    Chain,
     DiscreteForm,
     GaussianRational,
     InhomogeneousForm,
     NotAdmissible,
     Window,
     backward_diff,
+    boundary,
     coboundary,
     codifferential,
     clifford_mul,
@@ -25,15 +27,22 @@ from dkjoyce import (
     hodge_star,
     hodge_star_inverse,
     inner_product,
+    joyce_system_residual,
     laplacian,
+    pair,
     records_to_form,
     star_d_star,
 )
 from dkjoyce.complex4 import AXES, sigma_shift, tau_all, tau_shift
-from dkjoyce.forms import STAR_SIGN
+from dkjoyce.forms import MAX_LOAD_SITES, STAR_SIGN
 
 from helpers import (
     AXIS_SETS,
+    DictChain,
+    dict_boundary,
+    dict_pair,
+    dk_system_residual_dict,
+    joyce_system_residual_dict,
     margin_form,
     rand_gaussian,
     random_form,
@@ -338,6 +347,18 @@ def test_site_outside_int64_is_a_value_error(x):
         InhomogeneousForm.from_coeffs({((0, x, 0, 0), (1,)): 1})
 
 
+def test_far_apart_sites_hit_the_box_bound():
+    # the box of one degree spans every site between two coefficients
+    edge = {((0, 0, 0, 0), ()): 1, ((31, 31, 31, 31), ()): 2}
+    assert DiscreteForm(0, edge).data.shape == (1, 32, 32, 32, 32)
+    far = {((0, 0, 0, 0), (1,)): 1, ((32, 31, 31, 31), (1,)): 2}
+    for build in (lambda: DiscreteForm(1, far),
+                  lambda: InhomogeneousForm.from_coeffs(far),
+                  lambda: Chain(far)):
+        with pytest.raises(ValueError, match=f"more than {MAX_LOAD_SITES}"):
+            build()
+
+
 @pytest.mark.parametrize("x", [1.5, True, 1.0])
 def test_site_components_must_be_integers(x):
     # a non-integer component would be truncated into another key's site
@@ -456,3 +477,25 @@ def test_box_forms_promote_complex_to_exact(w, blade):
         b = DiscreteForm.basis(k, blade, coeff)
         _check_outputs(True, cup(b, w), cup(w, b), clifford_mul(
             InhomogeneousForm.from_form(b), InhomogeneousForm.from_form(w)))
+
+
+@PROPERTY
+@given(_inhomogeneous_cases(), _inhomogeneous_cases())
+def test_box_chains_and_table_systems_match_dict_oracles(case, other):
+    (O, exact), (W, _) = case, other
+    coeffs = dict(O.items())
+    a, oracle = Chain(coeffs), DictChain(coeffs)
+    assert a.terms == oracle.terms
+    assert boundary(a).terms == dict_boundary(oracle).terms
+    assert not boundary(boundary(a))
+    for w in (W, W.part(1), coboundary(W)):
+        assert pair(a, w) == dict_pair(oracle, w)
+        assert pair(boundary(a), w) == dict_pair(dict_boundary(oracle), w)
+    m = MASS[exact]
+    table = dk_system_residual(O, m)
+    assert table == dk_system_residual_dict(O, m)
+    Oev = InhomogeneousForm([p if p.degree % 2 == 0 else DiscreteForm.zero(
+        p.degree) for p in O.parts])
+    joyce = joyce_system_residual(Oev, m)
+    assert joyce == joyce_system_residual_dict(Oev, m)
+    _check_outputs(exact, table, joyce, boundary(a).form)
