@@ -86,9 +86,9 @@ class Chain:
     """A finitely supported linear combination of basis chains.
 
     Stored like a cochain, as the :class:`~dkjoyce.forms.InhomogeneousForm`
-    ``form``: a key must be a four-integer site and a sorted blade, and one
-    dimension spans at most ``MAX_LOAD_SITES`` sites.  ``terms`` is a
-    read-only ``{(k, dirs): c}`` view of the nonzero coefficients.
+    ``form``: keys are four-integer sites and sorted blades, and building,
+    adding or comparing far-apart chains hits ``MAX_LOAD_SITES`` (ValueError).
+    ``terms`` is a read-only ``{(k, dirs): c}`` view of the nonzero values.
     """
 
     __slots__ = ("form",)

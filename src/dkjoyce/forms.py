@@ -150,21 +150,22 @@ def _typed(col, *types) -> bool:
     return bool not in seen and all(issubclass(t, types) for t in seen)
 
 
-def _scatter(degree: int, slots, sites, values):
-    """Origin, box array and slots of ``values`` at ``slots`` and ``sites``;
-    the only rows-to-box step, so it rejects sites outside the 64-bit range
-    and, before allocating, a box of more than ``MAX_LOAD_SITES`` sites."""
+def _scatter(degree: int, slots, sites, values, of="sites"):
+    """Origin, box array and slots of ``values`` at ``slots`` and ``sites``.
+    It rejects, naming the rows ``of``, a site outside the 64-bit range and,
+    before allocating, a box of more than ``MAX_LOAD_SITES`` sites."""
     if not len(values):
         empty = np.zeros((len(GRADE_BLADES[degree]), 0, 0, 0, 0), complex)
         return (0,) * 4, empty, ()
     try:
         sites = np.asarray(sites, np.int64)
     except OverflowError:
-        raise ValueError("a site index is outside the 64-bit range") from None
+        raise ValueError(f"degree-{degree} {of}: a site index is outside "
+                         "the 64-bit range") from None
     lo = sites.min(axis=0)
     shape = [int(h) - int(l) + 1 for l, h in zip(lo, sites.max(axis=0))]
     if (box := math.prod(shape)) > MAX_LOAD_SITES:
-        raise ValueError(f"degree-{degree} sites span a box of {box} sites, "
+        raise ValueError(f"degree-{degree} {of} span a box of {box} sites, "
                          f"more than {MAX_LOAD_SITES}")
     native = all(issubclass(t, _NATIVE) for t in set(map(type, values)))
     data = np.zeros([len(GRADE_BLADES[degree])] + shape,
@@ -207,7 +208,8 @@ def _slices(lo, hi, origin) -> tuple:
 
 def _accumulate(degree: int, pieces) -> DiscreteForm:
     """Sum of ``(blade, sign, origin, *factors)`` slices over their hull; a
-    slice is the product of its factor arrays, formed only when added."""
+    slice is the product of its factor arrays, formed only when added.  A
+    hull past ``MAX_LOAD_SITES`` and the slices' own size is not allocated."""
     pieces = [p for p in pieces if p[3].size]
     if len(pieces) < 2:  # its own hull; halves a one-site product's cost
         if not pieces:
@@ -221,10 +223,14 @@ def _accumulate(degree: int, pieces) -> DiscreteForm:
     ends = [tuple(map(operator.add, p[2], p[3].shape)) for p in pieces]
     lo = tuple(map(min, zip(*(p[2] for p in pieces))))
     hi = tuple(map(max, zip(*ends)))
+    shape = tuple(map(operator.sub, hi, lo))
+    if (box := math.prod(shape)) > MAX_LOAD_SITES \
+            and box > sum(p[3].size for p in pieces):
+        raise ValueError(f"degree-{degree} sum spans a box of {box} sites, "
+                         f"more than {MAX_LOAD_SITES}")
     dtype = object if any(a.dtype.hasobject for p in pieces for a in p[3:]) \
         else complex
-    out = np.zeros((len(GRADE_BLADES[degree]),)
-                   + tuple(map(operator.sub, hi, lo)), dtype)
+    out = np.zeros((len(GRADE_BLADES[degree]),) + shape, dtype)
     for (blade, sign, origin, *factors), end in zip(pieces, ends):
         view = out[(BLADE_SLOT[blade],) + _slices(origin, end, lo)]
         a = functools.reduce(operator.mul, factors)

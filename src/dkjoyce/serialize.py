@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import json
-import math
 from itertools import chain, repeat
 from operator import eq, itemgetter, lt
 from typing import List
@@ -105,15 +104,11 @@ def records_to_form(records) -> InhomogeneousForm:
     parts = []
     for r in range(5):
         sel = np.flatnonzero((z != 0) & (grade[:n] == r))
-        s = sites[sel]
-        if sel.size and (box := math.prod(int(h) - int(l) + 1 for l, h in zip(
-                s.min(axis=0), s.max(axis=0)))) > MAX_LOAD_SITES:
-            raise SchemaError(f"degree-{r} records span a box of {box} "
-                              f"sites, more than {MAX_LOAD_SITES}")
         try:
-            parts.append(_form(r, *_scatter(r, slot[sel], s, z[sel])))
-        except ValueError as exc:  # a site outside the 64-bit range
-            raise SchemaError(f"degree-{r} records: {exc}") from exc
+            parts.append(_form(r, *_scatter(r, slot[sel], sites[sel], z[sel],
+                                            "records")))
+        except ValueError as exc:  # outside the 64-bit range or the bound
+            raise SchemaError(str(exc)) from exc
     return InhomogeneousForm(parts)
 
 

@@ -15,7 +15,7 @@ from dkjoyce import (
     Window,
     blade_product,
 )
-from dkjoyce.complex4 import AXES, normalize_dirs, sigma_shift, tau_shift
+from dkjoyce.complex4 import AXES, sigma_shift, tau_shift
 from dkjoyce.dirac_joyce import (DK_SYSTEM, JOYCE_RHS, JOYCE_TARGETS,
                                  _require_even, check_mass)
 from dkjoyce.forms import _form, _rows, _scatter
@@ -25,7 +25,7 @@ from dkjoyce.planewave import (
     MINUS_AXES,
     family_amplitude_matrix,
 )
-from dkjoyce.serialize import FIELDS, MAX_LOAD_SITES, SchemaError
+from dkjoyce.serialize import FIELDS, SchemaError
 
 AXIS_SETS = {
     r: list(itertools.combinations(AXES, r)) for r in range(5)
@@ -211,15 +211,11 @@ def records_to_form_rowwise(records) -> InhomogeneousForm:
         coeffs[key] = complex(rec["re"], rec["im"])
     parts = []
     for r, (slots, sites, values) in enumerate(_rows(coeffs)):
-        if sites:
-            box = math.prod(max(x) - min(x) + 1 for x in zip(*sites))
-            if box > MAX_LOAD_SITES:
-                raise SchemaError(f"degree-{r} records span a box of {box} "
-                                  f"sites, more than {MAX_LOAD_SITES}")
         try:
-            parts.append(_form(r, *_scatter(r, slots, sites, values)))
-        except ValueError as exc:  # a site outside the 64-bit range
-            raise SchemaError(f"degree-{r} records: {exc}") from exc
+            parts.append(_form(r, *_scatter(r, slots, sites, values,
+                                            "records")))
+        except ValueError as exc:  # outside the 64-bit range or the bound
+            raise SchemaError(str(exc)) from exc
     return InhomogeneousForm(parts)
 
 
@@ -234,13 +230,6 @@ class DictChain:
 
     def __init__(self, terms=None):
         self.terms = {key: c for key, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def basis(cls, k, dirs, coeff=1):
-        return cls({(tuple(k), normalize_dirs(dirs)): coeff})
-
-    def __eq__(self, other):
-        return isinstance(other, DictChain) and self.terms == other.terms
 
 
 def dict_boundary(a: DictChain) -> DictChain:

@@ -1,4 +1,5 @@
 import itertools
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,7 @@ from dkjoyce import (
     records_to_form,
     star_d_star,
 )
+from dkjoyce import forms
 from dkjoyce.complex4 import AXES, sigma_shift, tau_all, tau_shift
 from dkjoyce.forms import MAX_LOAD_SITES, STAR_SIGN
 
@@ -357,6 +359,21 @@ def test_far_apart_sites_hit_the_box_bound():
                   lambda: Chain(far)):
         with pytest.raises(ValueError, match=f"more than {MAX_LOAD_SITES}"):
             build()
+
+
+def test_far_apart_sums_hit_the_box_bound(monkeypatch):
+    # two one-site chains 10^4 apart: their sum's box would hold 10^16 sites
+    a, b = Chain.basis((0, 0, 0, 0), ()), Chain.basis((10 ** 4,) * 4, ())
+    for combine in (operator.add, operator.sub, operator.eq):
+        with pytest.raises(ValueError, match=f"more than {MAX_LOAD_SITES}"):
+            combine(a, b)
+    # a hull past the bound is allocated when its slices fill as much
+    monkeypatch.setattr(forms, "MAX_LOAD_SITES", 16)
+    w = DiscreteForm(0, {(k, ()): 1 for k in itertools.product((0, 1),
+                                                                repeat=4)})
+    assert coboundary(w).data.shape == (4, 3, 3, 3, 3)
+    with pytest.raises(ValueError, match="more than 16"):
+        w + DiscreteForm.basis((2, 2, 2, 2), ())
 
 
 @pytest.mark.parametrize("x", [1.5, True, 1.0])
