@@ -56,16 +56,6 @@ def blade_product(a: DirectionSet, b: DirectionSet) -> Tuple[int, DirectionSet]:
     return _BLADE_TABLE[(a, b)]
 
 
-def tau_shift(k: MultiIndex, mu: int) -> MultiIndex:
-    """Increment component ``mu`` of ``k`` by one."""
-    return k[:mu] + (k[mu] + 1,) + k[mu + 1:]
-
-
-def sigma_shift(k: MultiIndex, mu: int) -> MultiIndex:
-    """Decrement component ``mu`` of ``k`` by one (inverse of tau)."""
-    return k[:mu] + (k[mu] - 1,) + k[mu + 1:]
-
-
 def tau_all(k: MultiIndex) -> MultiIndex:
     """Increment every component of ``k``."""
     return tuple(x + 1 for x in k)

@@ -15,7 +15,7 @@ from dkjoyce import (
     Window,
     blade_product,
 )
-from dkjoyce.complex4 import AXES, sigma_shift, tau_shift
+from dkjoyce.complex4 import AXES
 from dkjoyce.dirac_joyce import (DK_SYSTEM, JOYCE_RHS, JOYCE_TARGETS,
                                  _require_even, check_mass)
 from dkjoyce.forms import _form, _rows, _scatter
@@ -83,6 +83,16 @@ def margin_form(rng, degree, win: Window, scalar=rand_complex):
 
 def rng_for(seed):
     return np.random.default_rng(seed)
+
+
+# the index shifts along one axis: tau one step up, sigma one step down
+
+def tau_shift(k, mu):
+    return k[:mu] + (k[mu] + 1,) + k[mu + 1:]
+
+
+def sigma_shift(k, mu):
+    return k[:mu] + (k[mu] - 1,) + k[mu + 1:]
 
 
 # ---------------------------------------------------------------------------

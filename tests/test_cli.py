@@ -7,16 +7,16 @@ import pytest
 
 from dkjoyce import DiscreteForm, InhomogeneousForm, Window
 from dkjoyce.cli import (
+    DEFAULT_TOL,
+    IDENTITY_CHECKS,
     ConfigInvalid,
     SuiteConfig,
     _random_amplitudes,
-    check_clifford_associativity,
-    check_dk_system,
-    check_joyce_system,
     config_from_args,
     build_parser,
     dispersion_scan,
     format_report,
+    identity_check,
     main,
     random_form,
     random_inhomogeneous,
@@ -133,16 +133,10 @@ def test_amplitudes_file(tmp_path):
     assert run(["run", "--suite", "planewave", "--amplitudes", str(bad)]) == 2
 
 
-def test_tol_env_override(monkeypatch):
+def test_tol_flag_and_default():
     parser = build_parser()
     args = parser.parse_args(["run", "--suite", "identities"])
-    monkeypatch.setenv("DKJOYCE_TOL", "1e-6")
-    cfg = config_from_args(args)
-    assert cfg.tol == 1e-6
-    monkeypatch.setenv("DKJOYCE_TOL", "zzz")
-    with pytest.raises(ConfigInvalid):
-        config_from_args(args)
-    monkeypatch.delenv("DKJOYCE_TOL")
+    assert config_from_args(args).tol == DEFAULT_TOL
     args = parser.parse_args(["run", "--suite", "identities",
                               "--tol", "1e-4"])
     assert config_from_args(args).tol == 1e-4
@@ -231,9 +225,10 @@ def test_associativity_counts_the_failing_triples(monkeypatch, entry, count):
     brute = sum(triple(a, b, c, True) != triple(a, b, c, False)
                 for a, b, c in itertools.product(ALL_BLADES, repeat=3))
     assert brute == count
-    value, _threshold, _ = check_clifford_associativity(
-        SuiteConfig(suite="identities"), np.random.default_rng(0))
-    assert value == count
+    rec = identity_check("sec3-clifford-associativity",
+                         SuiteConfig(suite="identities"),
+                         np.random.default_rng(0))
+    assert rec["value"] == count
 
 
 def test_flipped_dk_system_sign_fails_the_check(monkeypatch):
@@ -241,14 +236,51 @@ def test_flipped_dk_system_sign_fails_the_check(monkeypatch):
     sign, kind, mu, src = row[2]
     monkeypatch.setitem(DK_SYSTEM, (0, 1),
                         row[:2] + [(-sign, kind, mu, src)] + row[3:])
-    value, threshold, _ = check_dk_system(SuiteConfig(suite="identities"),
-                                          np.random.default_rng(0))
-    assert value > threshold
+    cfg = SuiteConfig(suite="identities")
+    rec = identity_check("eq3.3-dk-system-consistency", cfg,
+                         np.random.default_rng(0))
+    assert rec["status"] == "fail" and rec["value"] > rec["threshold"]
+    # a residual check reports its largest gap, not a sum of its cases
+    check, _kind = IDENTITY_CHECKS["eq3.3-dk-system-consistency"]
+    gaps = list(check(cfg, np.random.default_rng(0)))
+    assert len(gaps) == 3 and rec["value"] == max(gaps) < sum(gaps)
 
 
 def test_flipped_joyce_rhs_sign_fails_the_check(monkeypatch):
     sign, src = JOYCE_RHS[(0, 2, 3)]
     monkeypatch.setitem(JOYCE_RHS, (0, 2, 3), (-sign, src))
-    value, threshold, _ = check_joyce_system(SuiteConfig(suite="identities"),
-                                             np.random.default_rng(0))
-    assert value > threshold
+    rec = identity_check("eq3.9-joyce-system-consistency",
+                         SuiteConfig(suite="identities"),
+                         np.random.default_rng(0))
+    assert rec["status"] == "fail" and rec["value"] > rec["threshold"]
+
+
+EXACT = {"eq2.16-star-defining", "sec2-star-double",
+         "eq3.5-clifford-anticommutators", "sec3-clifford-associativity"}
+
+
+def test_identities_report_lists_the_sixteen_checks():
+    cfg = SuiteConfig(suite="identities", seed=3, tol=1e-9)
+    checks = run_suite(cfg)["checks"]
+    assert [c["name"] for c in checks] == sorted(IDENTITY_CHECKS)
+    assert len(checks) == 16
+    for c in checks:
+        assert c["threshold"] == (0.5 if c["name"] in EXACT else cfg.tol)
+        assert c["value"] == 0.0 and c["status"] == "pass"
+
+
+def test_negated_table_entry_fails_both_kinds_of_check(monkeypatch):
+    # one wrong sign in the blade table reaches residual and exact checks
+    sign, blade = _BLADE_TABLE[((1,), (2,))]
+    monkeypatch.setitem(_BLADE_TABLE, ((1,), (2,)), (-sign, blade))
+    report = run_suite(SuiteConfig("identities", seed=1))
+    assert report["overall"] == "fail"
+    failed = {c["name"]: c for c in report["checks"] if c["status"] == "fail"}
+    assert sorted(failed) == ["eq2.15-leibniz",
+                              "eq3.5-clifford-anticommutators",
+                              "eq3.6-decomposition",
+                              "sec3-clifford-associativity"]
+    assert failed["eq3.5-clifford-anticommutators"]["value"] == 2.0
+    assert failed["sec3-clifford-associativity"]["value"] == 58.0
+    for c in failed.values():
+        assert c["value"] > c["threshold"]

@@ -1,5 +1,6 @@
 import itertools
 import operator
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +36,7 @@ from dkjoyce import (
     star_d_star,
 )
 from dkjoyce import forms
-from dkjoyce.complex4 import AXES, sigma_shift, tau_all, tau_shift
+from dkjoyce.complex4 import AXES, tau_all
 from dkjoyce.forms import MAX_LOAD_SITES, STAR_SIGN
 
 from helpers import (
@@ -50,6 +51,8 @@ from helpers import (
     random_form,
     random_inhomogeneous,
     rng_for,
+    sigma_shift,
+    tau_shift,
 )
 
 ALL_DIRS = [d for r in range(5) for d in itertools.combinations(AXES, r)]
@@ -362,11 +365,13 @@ def test_far_apart_sites_hit_the_box_bound():
 
 
 def test_far_apart_sums_hit_the_box_bound(monkeypatch):
-    # two one-site chains 10^4 apart: their sum's box would hold 10^16 sites
+    # two one-site chains 10^4 apart: their sum's box would hold 10^16 sites;
+    # == compares on the common box, so it allocates none
     a, b = Chain.basis((0, 0, 0, 0), ()), Chain.basis((10 ** 4,) * 4, ())
-    for combine in (operator.add, operator.sub, operator.eq):
+    for combine in (operator.add, operator.sub):
         with pytest.raises(ValueError, match=f"more than {MAX_LOAD_SITES}"):
             combine(a, b)
+    assert (a == b) is False
     # a hull past the bound is allocated when its slices fill as much
     monkeypatch.setattr(forms, "MAX_LOAD_SITES", 16)
     w = DiscreteForm(0, {(k, ()): 1 for k in itertools.product((0, 1),
@@ -374,6 +379,14 @@ def test_far_apart_sums_hit_the_box_bound(monkeypatch):
     assert coboundary(w).data.shape == (4, 3, 3, 3, 3)
     with pytest.raises(ValueError, match="more than 16"):
         w + DiscreteForm.basis((2, 2, 2, 2), ())
+
+
+def test_eq_holds_on_infinite_values():
+    # inf - inf is nan, so == may not go through the difference
+    w = DiscreteForm.basis((1, 1, 1, 1), (0,), complex("inf"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert w == w and w != DiscreteForm.basis((1, 1, 1, 1), (0,), 1)
 
 
 @pytest.mark.parametrize("x", [1.5, True, 1.0])
@@ -494,6 +507,33 @@ def test_box_forms_promote_complex_to_exact(w, blade):
         b = DiscreteForm.basis(k, blade, coeff)
         _check_outputs(True, cup(b, w), cup(w, b), clifford_mul(
             InhomogeneousForm.from_form(b), InhomogeneousForm.from_form(w)))
+
+
+def _retyped(w):
+    """``w`` with complex values made GaussianRational, and the reverse."""
+    return DiscreteForm(w.degree, {
+        key: complex(c) if isinstance(c, GaussianRational)
+        else GaussianRational(c.real, c.imag) for key, c in w.items()})
+
+
+@pytest.mark.parametrize("pair_up", [
+    lambda u, far: (u, _retyped(u)),
+    lambda u, far: (u, _retyped(u) + far - far),  # zeros around u's box
+    lambda u, far: (u, _retyped(u) + far),
+    lambda u, far: (u, far),
+    lambda u, far: (0 * u, 0 * far),  # zero forms, boxes often apart
+], ids=["same-box", "nested", "one-more-term", "other-box", "zeros"])
+@PROPERTY
+@given(st.data())
+def test_eq_agrees_with_the_difference(pair_up, data):
+    # == compares on the common box; it must say what u - v says
+    degree = data.draw(st.integers(0, 4))
+    u = data.draw(_forms(degree, data.draw(st.booleans())))
+    far = DiscreteForm.basis(data.draw(st.tuples(*[st.integers(-5, 5)] * 4)),
+                             data.draw(st.sampled_from(AXIS_SETS[degree])),
+                             data.draw(_scalars(data.draw(st.booleans()))))
+    u, v = pair_up(u, far)
+    assert (u == v) == (v == u) == (u - v).is_zero()
 
 
 @PROPERTY
