@@ -76,8 +76,8 @@ class Chain:
     """A finitely supported linear combination of basis chains.
 
     Stored like a cochain, as the :class:`~dkjoyce.forms.InhomogeneousForm`
-    ``form``: keys are four-integer sites and sorted blades, and building,
-    adding or comparing far-apart chains hits ``MAX_LOAD_SITES`` (ValueError).
+    ``form``: keys are four-integer sites and sorted blades, and building or
+    adding far-apart chains hits ``MAX_LOAD_SITES`` (ValueError).
     ``terms`` is a read-only ``{(k, dirs): c}`` view of the nonzero values.
     """
 

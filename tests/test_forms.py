@@ -1,6 +1,5 @@
 import itertools
 import operator
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -381,12 +380,11 @@ def test_far_apart_sums_hit_the_box_bound(monkeypatch):
         w + DiscreteForm.basis((2, 2, 2, 2), ())
 
 
+@pytest.mark.filterwarnings("error")
 def test_eq_holds_on_infinite_values():
     # inf - inf is nan, so == may not go through the difference
     w = DiscreteForm.basis((1, 1, 1, 1), (0,), complex("inf"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert w == w and w != DiscreteForm.basis((1, 1, 1, 1), (0,), 1)
+    assert w == w and w != DiscreteForm.basis((1, 1, 1, 1), (0,), 1)
 
 
 @pytest.mark.parametrize("x", [1.5, True, 1.0])
