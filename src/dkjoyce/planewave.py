@@ -6,6 +6,11 @@ its "plus" axes and of the backward difference on its "minus" axes.  The
 even wave form combines them with constant amplitudes, one scalar wave per
 even blade.
 
+Each four-parameter family is one sign s, +1 ("plus") or -1 ("minus"): its
+waves sit on the even blades e_L with e_0 e_L = s e_L e_0, its denominator is
+q = m - s p0, wave L's amplitude pattern is q e_L + s sum_j p_j e_0j e_L, and
+its constraint map is left multiplication by s sum_j p_j e_0j / q.
+
 The amplitude-level system is evaluated with one correction to the printed
 source: the alpha4 coefficient in the second equation carries +p3, as
 re-derivation through the Clifford product shows (see
@@ -17,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, fields
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .complex4 import AXES, MultiIndex
+from .complex4 import _BLADE_TABLE, AXES, GRADE_BLADES, MultiIndex
 from .forms import DiscreteForm, InhomogeneousForm, Window, _accumulate, \
     _assemble, backward_diff, coboundary, codifferential, forward_diff
 from .clifford import blade_lmul, blade_product
@@ -31,13 +36,10 @@ Momentum = Tuple[float, float, float, float]
 
 WAVE_LABELS = ("0", "01", "02", "03", "12", "13", "23", "4")
 
-#: blade attached to each wave label in the even wave form
-LABEL_BLADES: Dict[str, Tuple[int, ...]] = {
-    "0": (),
-    "01": (0, 1), "02": (0, 2), "03": (0, 3),
-    "12": (1, 2), "13": (1, 3), "23": (2, 3),
-    "4": (0, 1, 2, 3),
-}
+#: blade attached to each wave label in the even wave form: the even blades
+#: in grade order
+LABEL_BLADES = dict(zip(WAVE_LABELS, GRADE_BLADES[0] + GRADE_BLADES[2]
+                        + GRADE_BLADES[4]))
 
 #: axes carrying a (1-ip)^(-k) factor, per wave label: a wave's minus axes
 #: are exactly the axes of its own blade
@@ -258,10 +260,40 @@ def algebraic_system_residual(A: EvenAmplitudes, p: Momentum,
 
 
 # ---------------------------------------------------------------------------
-# commutation split and constraint maps
+# the two wave families, derived from the blade table: family s has the
+# waves on the blades with e_0 e_L = s e_L e_0, q = m - s p0, the patterns
+# q e_L + s sum_j p_j e_0j e_L, and the constraint map s sum_j p_j e_0j / q
 
-_PLUS_BLADES = ((), (1, 2), (1, 3), (2, 3))
-_MINUS_BLADES = ((0, 1), (0, 2), (0, 3), (0, 1, 2, 3))
+#: the sign s of each family
+FAMILY_SIGN = {"plus": 1, "minus": -1}
+
+#: wave labels of each family, in amplitude order: e_0 e_L = s e_L e_0
+FAMILY_LABELS = {
+    which: tuple(label for label in WAVE_LABELS
+                 if _BLADE_TABLE[((0,), LABEL_BLADES[label])][0]
+                 == s * _BLADE_TABLE[(LABEL_BLADES[label], (0,))][0])
+    for which, s in FAMILY_SIGN.items()}
+
+
+def _denominator(which: str, p: Momentum, m: float) -> float:
+    """The family's q = m - s p0, which must stay away from zero."""
+    check_mass(m)
+    q = m - FAMILY_SIGN[which] * p[0]
+    if abs(q) <= DEGENERATE_TOL:
+        raise DegenerateDenominator(
+            f"m - s p0 vanishes for the {which} family; use the mirror family")
+    return q
+
+
+def _family_terms(which: str, p: Momentum, m: float):
+    """Yield each wave's label and amplitude pattern [(blade, coefficient)]."""
+    s = FAMILY_SIGN[which]
+    for label in FAMILY_LABELS[which]:
+        combo = [(LABEL_BLADES[label], m - s * p[0])]
+        for j in (1, 2, 3):
+            sign, blade = _BLADE_TABLE[((0, j), LABEL_BLADES[label])]
+            combo.append((blade, s * sign * p[j]))
+        yield label, combo
 
 
 def split_even(Phi: InhomogeneousForm):
@@ -273,16 +305,19 @@ def split_even(Phi: InhomogeneousForm):
                 raise ValueError(f"odd blade {d!r} in an even form")
     pieces = [(d, 1, part.origin, part.data[s])
               for part in Phi.parts[::2] for s, d in part.live()]
-    return (_assemble([x for x in pieces if x[0] in _PLUS_BLADES]),
-            _assemble([x for x in pieces if x[0] in _MINUS_BLADES]))
+    halves = ({LABEL_BLADES[label] for label in labels}
+              for labels in FAMILY_LABELS.values())
+    return tuple(_assemble([x for x in pieces if x[0] in blades])
+                 for blades in halves)
 
 
-def _spatial_bivector_mul(Phi: InhomogeneousForm, p: Momentum,
-                          denom: float) -> InhomogeneousForm:
+def _constraint(which: str, Phi: InhomogeneousForm, p: Momentum,
+                m: float) -> InhomogeneousForm:
+    q = _denominator(which, p, m)
     out = InhomogeneousForm.zero()
     for j in (1, 2, 3):
         if p[j] != 0:
-            out = out + blade_lmul((0, j), Phi, p[j] / denom)
+            out = out + blade_lmul((0, j), Phi, FAMILY_SIGN[which] * p[j] / q)
     return out
 
 
@@ -290,79 +325,30 @@ def constraint_minus_from_plus(PhiPlus: InhomogeneousForm, p: Momentum,
                                m: float) -> InhomogeneousForm:
     """Anticommuting part implied by the commuting part:
     (p1 e01 + p2 e02 + p3 e03) / (m - p0) applied on the left."""
-    check_mass(m)
-    if abs(m - p[0]) <= DEGENERATE_TOL:
-        raise DegenerateDenominator(
-            "m - p0 vanishes; use the mirror constraint from the minus part"
-        )
-    return _spatial_bivector_mul(PhiPlus, p, m - p[0])
+    return _constraint("plus", PhiPlus, p, m)
 
 
 def constraint_plus_from_minus(PhiMinus: InhomogeneousForm, p: Momentum,
                                m: float) -> InhomogeneousForm:
     """Commuting part implied by the anticommuting part:
     -(p1 e01 + p2 e02 + p3 e03) / (m + p0) applied on the left."""
-    check_mass(m)
-    if abs(m + p[0]) <= DEGENERATE_TOL:
-        raise DegenerateDenominator(
-            "m + p0 vanishes; use the mirror constraint from the plus part"
-        )
-    return _spatial_bivector_mul(PhiMinus, p, -(m + p[0]))
+    return _constraint("minus", PhiMinus, p, m)
 
 
-# ---------------------------------------------------------------------------
-# solution families
-
-def _check_family_pre(p: Momentum, m: float, denom: float,
-                      check_dispersion: bool):
-    check_mass(m)
-    if abs(denom) <= DEGENERATE_TOL:
-        raise DegenerateDenominator(
-            "family denominator vanishes; the mirror family covers this branch"
-        )
-    if check_dispersion and abs(dispersion_gap(p, m)) > DISPERSION_TOL:
-        raise DispersionViolated(
-            f"dispersion gap {dispersion_gap(p, m):g} exceeds tolerance"
-        )
-
-
-def _build_family(coeffs, terms, p: Momentum, win: Window) -> InhomogeneousForm:
+def _family(which: str, coeffs, p: Momentum, m: float, win: Window,
+            check_dispersion: bool) -> InhomogeneousForm:
+    """Coefficient c_L times the wave psi_L on each blade of its pattern."""
+    _denominator(which, p, m)
+    if check_dispersion and abs(gap := dispersion_gap(p, m)) > DISPERSION_TOL:
+        raise DispersionViolated(f"dispersion gap {gap:g} exceeds tolerance")
     pieces = []
-    for c, (label, combo) in zip(coeffs, terms):
+    for c, (label, combo) in zip(coeffs, _family_terms(which, p, m)):
         if c == 0:
             continue
         psi = psi_form(label, p, win).data[0]
         pieces += [(blade, 1, (1, 1, 1, 1), c * coef * psi)
                    for blade, coef in combo if coef != 0]
     return _assemble(pieces)
-
-
-def _family_plus_terms(p: Momentum, m: float):
-    # Third pattern: the printed source shows +p2 on the volume blade, but
-    # its own expansion of the constraint map (and the Clifford reduction
-    # e_02 e_13 = -e) gives -p2; only the corrected sign solves the
-    # amplitude system.
-    q = m - p[0]
-    return (
-        ("0", (((), q), ((0, 1), p[1]), ((0, 2), p[2]), ((0, 3), p[3]))),
-        ("12", (((1, 2), q), ((0, 1), p[2]), ((0, 2), -p[1]),
-                ((0, 1, 2, 3), p[3]))),
-        ("13", (((1, 3), q), ((0, 1), p[3]), ((0, 3), -p[1]),
-                ((0, 1, 2, 3), -p[2]))),
-        ("23", (((2, 3), q), ((0, 2), p[3]), ((0, 3), -p[2]),
-                ((0, 1, 2, 3), p[1]))),
-    )
-
-
-def _family_minus_terms(p: Momentum, m: float):
-    q = m + p[0]
-    return (
-        ("01", (((0, 1), q), ((), -p[1]), ((1, 2), -p[2]), ((1, 3), -p[3]))),
-        ("02", (((0, 2), q), ((), -p[2]), ((1, 2), p[1]), ((2, 3), -p[3]))),
-        ("03", (((0, 3), q), ((), -p[3]), ((1, 3), p[1]), ((2, 3), p[2]))),
-        ("4", (((0, 1, 2, 3), q), ((1, 2), -p[3]), ((1, 3), p[2]),
-               ((2, 3), -p[1]))),
-    )
 
 
 def family_plus(a: Sequence[complex], p: Momentum, m: float, win: Window,
@@ -380,8 +366,7 @@ def family_plus(a: Sequence[complex], p: Momentum, m: float, win: Window,
     p = (p0, p1, 0, 0) on the dispersion relation, the e_0 component of the
     residual for a = (1, 0, 0, 0) is psi0(k) i p1^3 / (1 + i p1).
     """
-    _check_family_pre(p, m, m - p[0], check_dispersion)
-    return _build_family(a, _family_plus_terms(p, m), p, win)
+    return _family("plus", a, p, m, win, check_dispersion)
 
 
 def family_minus(b: Sequence[complex], p: Momentum, m: float, win: Window,
@@ -392,8 +377,7 @@ def family_minus(b: Sequence[complex], p: Momentum, m: float, win: Window,
     at nonzero spatial momentum the interior residual is the lattice term
     sum_L b_L psi_L(k) S_L described in :func:`family_plus`.
     """
-    _check_family_pre(p, m, m + p[0], check_dispersion)
-    return _build_family(b, _family_minus_terms(p, m), p, win)
+    return _family("minus", b, p, m, win, check_dispersion)
 
 
 @dataclass(frozen=True)
@@ -445,13 +429,11 @@ class PlaneWaveSpec:
         win = Window(self.window)
         if self.family == "explicit":
             return build_phi(self.amplitudes, self.p, win)
-        a = self.amplitudes.as_vector()
-        if self.family == "plus":
-            # the four coefficients ride on the plus-family wave labels
-            coeffs = (a[0], a[4], a[5], a[6])
-            return family_plus(coeffs, self.p, self.m, win)
-        coeffs = (a[1], a[2], a[3], a[7])
-        return family_minus(coeffs, self.p, self.m, win)
+        # the four coefficients ride on the family's wave labels
+        a = dict(zip(WAVE_LABELS, self.amplitudes.as_vector()))
+        coeffs = [a[label] for label in FAMILY_LABELS[self.family]]
+        build = family_plus if self.family == "plus" else family_minus
+        return build(coeffs, self.p, self.m, win)
 
 
 def family_amplitude_matrix(which: str, p: Momentum, m: float) -> np.ndarray:
@@ -460,10 +442,9 @@ def family_amplitude_matrix(which: str, p: Momentum, m: float) -> np.ndarray:
     Built from the amplitude patterns alone (the shared wave factor of each
     column divided out); used for rank and amplitude-equivalence checks.
     """
-    terms = {"plus": _family_plus_terms, "minus": _family_minus_terms}[which](p, m)
     row = {LABEL_BLADES[lab]: i for i, lab in enumerate(AMPLITUDE_ORDER)}
     M = np.zeros((8, 4), dtype=complex)
-    for j, (_label, combo) in enumerate(terms):
+    for j, (_label, combo) in enumerate(_family_terms(which, p, m)):
         for blade, coef in combo:
             M[row[blade], j] += coef
     return M

@@ -1,7 +1,8 @@
 """Shared test helpers: seeded random forms over both scalar types, the
-closed-form Joyce residual of the plane-wave families, and the
-one-coefficient-at-a-time oracles of the box paths: the row-by-row record
-loader, the dict chains and the dict table systems."""
+closed-form Joyce residual of the plane-wave families, their transcribed
+amplitude patterns, and the one-coefficient-at-a-time oracles of the box
+paths: the row-by-row record loader, the dict chains and the dict table
+systems."""
 
 import itertools
 import math
@@ -101,6 +102,50 @@ def sigma_shift(k, mu):
 #: wave label carried by each column of ``family_amplitude_matrix``
 FAMILY_LABELS = {"plus": ("0", "12", "13", "23"),
                  "minus": ("01", "02", "03", "4")}
+
+
+# The family amplitude patterns as transcribed from the source, one
+# (label, ((blade, coefficient), ...)) per wave: the oracle of the patterns
+# that planewave derives from the family sign and the blade table.
+
+def family_plus_terms(p, m):
+    # Third pattern: the printed source shows +p2 on the volume blade, but
+    # its own expansion of the constraint map (and the Clifford reduction
+    # e_02 e_13 = -e) gives -p2; only the corrected sign solves the
+    # amplitude system.
+    q = m - p[0]
+    return (
+        ("0", (((), q), ((0, 1), p[1]), ((0, 2), p[2]), ((0, 3), p[3]))),
+        ("12", (((1, 2), q), ((0, 1), p[2]), ((0, 2), -p[1]),
+                ((0, 1, 2, 3), p[3]))),
+        ("13", (((1, 3), q), ((0, 1), p[3]), ((0, 3), -p[1]),
+                ((0, 1, 2, 3), -p[2]))),
+        ("23", (((2, 3), q), ((0, 2), p[3]), ((0, 3), -p[2]),
+                ((0, 1, 2, 3), p[1]))),
+    )
+
+
+def family_minus_terms(p, m):
+    q = m + p[0]
+    return (
+        ("01", (((0, 1), q), ((), -p[1]), ((1, 2), -p[2]), ((1, 3), -p[3]))),
+        ("02", (((0, 2), q), ((), -p[2]), ((1, 2), p[1]), ((2, 3), -p[3]))),
+        ("03", (((0, 3), q), ((), -p[3]), ((1, 3), p[1]), ((2, 3), p[2]))),
+        ("4", (((0, 1, 2, 3), q), ((1, 2), -p[3]), ((1, 3), p[2]),
+               ((2, 3), -p[1]))),
+    )
+
+
+def transcribed_family_matrix(which, p, m):
+    """8x4 matrix of the transcribed patterns, rows in amplitude order."""
+    terms = {"plus": family_plus_terms, "minus": family_minus_terms}[which]
+    rows = ((), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1, 2, 3))
+    M = np.zeros((8, 4), dtype=complex)
+    for j, (label, combo) in enumerate(terms(p, m)):
+        assert label == FAMILY_LABELS[which][j]
+        for blade, coef in combo:
+            M[rows.index(blade), j] += coef
+    return M
 
 
 def axis_factors(label, p):

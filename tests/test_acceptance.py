@@ -7,12 +7,14 @@ are checked at their stated tolerances; failures carry the measured values.
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 
+import dkjoyce
 from dkjoyce import (
     ALL_BLADES,
     Chain,
@@ -376,28 +378,32 @@ def test_criterion_11_constraint_maps():
 def test_criterion_12_cli(tmp_path):
     failures = []
     start = time.monotonic()
-    outs = []
-    for name in ("a.json", "b.json"):
-        out = tmp_path / name
+    # the child imports the package the tests import, installed or not
+    src = os.path.dirname(os.path.dirname(dkjoyce.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def cli(*args, out):
+        """Run ``dkjoyce.cli run``; the JSON report if it exits 0, else None."""
         proc = subprocess.run(
-            [sys.executable, "-m", "dkjoyce.cli", "run",
-             "--suite", "identities", "--window", "4,4,4,4",
-             "--seed", "42", "--format", "json", "--out", str(out)],
-            capture_output=True, text=True,
+            [sys.executable, "-m", "dkjoyce.cli", "run", *args,
+             "--format", "json", "--out", str(out)],
+            capture_output=True, text=True, env=env,
         )
         if proc.returncode != 0:
-            failures.append(("exit", proc.returncode, proc.stderr[-200:]))
-        outs.append(out.read_bytes())
+            failures.append(("exit", args[1], proc.returncode,
+                             proc.stderr[-200:]))
+            return None
+        return out.read_bytes()
+
+    outs = [cli("--suite", "identities", "--window", "4,4,4,4",
+                "--seed", "42", out=tmp_path / name)
+            for name in ("a.json", "b.json")]
     if outs[0] != outs[1]:
         failures.append(("determinism",))
-    scan_out = tmp_path / "scan.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "dkjoyce.cli", "run",
-         "--suite", "dispersion-scan", "--mass", "1", "--grid", "0,0.5",
-         "--format", "json", "--out", str(scan_out)],
-        capture_output=True, text=True,
-    )
-    rows = json.loads(scan_out.read_text())["scan"]
+    scan = cli("--suite", "dispersion-scan", "--mass", "1", "--grid", "0,0.5",
+               out=tmp_path / "scan.json")
+    rows = [] if scan is None else json.loads(scan)["scan"]
     if len(rows) != 16:
         failures.append(("rows", len(rows)))
     # each row's residual is the closed form of criterion 10 for the family

@@ -255,6 +255,22 @@ def test_flipped_joyce_rhs_sign_fails_the_check(monkeypatch):
     assert rec["status"] == "fail" and rec["value"] > rec["threshold"]
 
 
+@pytest.mark.parametrize("gaps, failed", [([0.0, float("nan")], True),
+                                          ([float("nan"), 1.0], True),
+                                          ([], False)])
+def test_a_nan_gap_fails_a_residual_check(monkeypatch, gaps, failed):
+    def probe(cfg, rng):
+        yield from gaps
+
+    monkeypatch.setitem(IDENTITY_CHECKS, "probe", (probe, "residual"))
+    rec = identity_check("probe", SuiteConfig(suite="identities"),
+                         np.random.default_rng(0))
+    if failed:
+        assert rec["status"] == "fail" and np.isnan(rec["value"])
+    else:
+        assert rec["status"] == "pass" and rec["value"] == 0.0
+
+
 EXACT = {"eq2.16-star-defining", "sec2-star-double",
          "eq3.5-clifford-anticommutators", "sec3-clifford-associativity"}
 

@@ -31,8 +31,10 @@ from dkjoyce import (
     unit_form,
     wave_component,
 )
-from dkjoyce.planewave import WAVE_LABELS, family_amplitude_matrix
+from dkjoyce.planewave import (FAMILY_LABELS, LABEL_BLADES, WAVE_LABELS,
+                               family_amplitude_matrix)
 
+import helpers
 from helpers import family_symbols, rand_complex, rng_for
 
 M = 1.0
@@ -158,6 +160,29 @@ def test_split_even():
     e0 = unit_form((0,), win)
     assert (clifford_mul(e0, plus) - clifford_mul(plus, e0)).is_zero()
     assert (clifford_mul(e0, minus) + clifford_mul(minus, e0)).is_zero()
+
+
+def test_split_even_halves_are_the_family_blades():
+    assert FAMILY_LABELS == helpers.FAMILY_LABELS
+    win = Window((2, 2, 2, 2))
+    phi = build_phi(EvenAmplitudes(*range(1, 9)), (0.3, 0.5, -0.2, 0.7), win)
+    for half, which in zip(split_even(phi), ("plus", "minus")):
+        blades = {d for part in half.parts for _s, d in part.live()}
+        assert blades == {LABEL_BLADES[label]
+                          for label in FAMILY_LABELS[which]}
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 3.0])
+def test_derived_patterns_equal_the_transcribed_ones(m):
+    spatials = [(0, 0, 0), (0.5, 0, 0), (0, -0.25, 0.75), (1, -2, 0.3)]
+    for spatial in spatials:
+        for branch in ("+", "-"):
+            p = boosted(spatial, branch, m)
+            for q in (p, (p[0] + 0.3,) + p[1:]):  # on and off shell
+                for which in ("plus", "minus"):
+                    want = helpers.transcribed_family_matrix(which, q, m)
+                    got = family_amplitude_matrix(which, q, m)
+                    assert np.array_equal(got, want), (which, q, m)
 
 
 def test_split_even_rejects_odd():
