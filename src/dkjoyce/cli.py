@@ -363,14 +363,13 @@ IDENTITY_CHECKS = {
 
 def identity_check(name: str, cfg, rng) -> dict:
     """Run the identity check ``name`` and write its record: the largest gap
-    against ``cfg.tol``, or for an "exact" check the failures against 0.5."""
+    (NaN if any is NaN) against ``cfg.tol``, or for an "exact" check the
+    failures against 0.5."""
     check, kind = IDENTITY_CHECKS[name]
     gaps = list(check(cfg, rng))
     if kind == "exact":
         return _check_record(name, sum(gaps), 0.5)
-    # max() drops a NaN met after a number; any NaN gap (g != g) fails
-    worst = math.nan if any(g != g for g in gaps) else max(gaps, default=0.0)
-    return _check_record(name, worst, cfg.tol)
+    return _check_record(name, np.max(gaps, initial=0.0), cfg.tol)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ Two independent evaluation paths are kept deliberately:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .forms import (
     forward_diff,
 )
 from .clifford import blade_lmul, blade_rmul, grade_project
-from .serialize import form_to_records
 
 
 class NotEven(ValueError):
@@ -49,47 +48,38 @@ class ResidualReport:
 
     Residual-zero guarantees only apply on interior sites (one-cell margin
     from every window face); fringe sites pick up truncation terms from the
-    zero extension outside the window.  ``per_site`` holds the residual's
-    coefficient records in the :func:`dkjoyce.serialize.form_to_records`
-    schema.
+    zero extension outside the window.  Each maximum is 0.0 over no
+    coefficients and NaN if a coefficient it covers is NaN.
     """
 
     grade_max: List[float]
     grade_l2: List[float]
     interior_max: float
     fringe_max: float
-    per_site: Optional[list] = field(default=None)
 
     @classmethod
-    def from_form(cls, R, win: Window,
-                  per_site: bool = False) -> "ResidualReport":
-        gmax = [0.0] * 5
-        gl2 = [0.0] * 5
-        interior = 0.0
-        fringe = 0.0
+    def from_form(cls, R, win: Window) -> "ResidualReport":
+        gmax, gl2 = [0.0] * 5, [0.0] * 5
+        interior, fringe = [], []
         for part in _parts(R):
-            if not part.slots or not part.data.size:
-                continue
             a = np.abs(part.data[list(part.slots)]).astype(float)
-            r = part.degree
-            gmax[r] = max(gmax[r], float(a.max()))
-            gl2[r] += float((a * a).sum())
-            site = a.max(axis=0)
+            gmax[part.degree] = float(a.max(initial=0.0))
+            gl2[part.degree] = math.sqrt((a * a).sum())
+            site = a.max(axis=0, initial=0.0)
             # interior sites 2 <= k_mu <= n_mu - 1, as box indices
             inner = tuple(slice(max(2 - o, 0), max(n - o, 0))
                           for o, n in zip(part.origin, win.n))
-            if site[inner].size:
-                interior = max(interior, float(site[inner].max()))
+            interior.append(site[inner].max(initial=0.0))
             site[inner] = 0.0
-            fringe = max(fringe, float(site.max()))
-        table = form_to_records(R) if per_site else None
-        return cls([*gmax], [math.sqrt(x) for x in gl2], interior, fringe, table)
+            fringe.append(site.max(initial=0.0))
+        return cls(gmax, gl2, float(np.max(interior, initial=0.0)),
+                   float(np.max(fringe, initial=0.0)))
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.grade_max)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "grade_norms": [
                 {"degree": r, "max": self.grade_max[r], "l2": self.grade_l2[r]}
                 for r in range(5)
@@ -97,9 +87,6 @@ class ResidualReport:
             "interior_max": self.interior_max,
             "fringe_max": self.fringe_max,
         }
-        if self.per_site is not None:
-            out["per_site"] = self.per_site
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +124,12 @@ def decomposition(O: InhomogeneousForm) -> InhomogeneousForm:
 
 
 def _require_even(O: InhomogeneousForm):
-    odd = max(O.part(1).max_norm(), O.part(3).max_norm())
-    if odd > 1e-12:
-        raise NotEven(f"odd-grade max-norm {odd} exceeds tolerance 1e-12")
+    """Raise :class:`NotEven` on the first odd blade holding a nonzero value
+    (a NaN counts as nonzero)."""
+    for part in O.parts[1::2]:
+        for s, d in part.live():
+            if (part.data[s] != 0).any():
+                raise NotEven(f"odd blade {d!r} in an even form")
 
 
 def joyce_apply_rhs(Oev: InhomogeneousForm, m: float) -> InhomogeneousForm:
@@ -149,12 +139,10 @@ def joyce_apply_rhs(Oev: InhomogeneousForm, m: float) -> InhomogeneousForm:
     return blade_rmul(Oev, (0,), m)
 
 
-def dk_residual(O: InhomogeneousForm, m: float, win: Window,
-                per_site: bool = False) -> ResidualReport:
+def dk_residual(O: InhomogeneousForm, m: float, win: Window) -> ResidualReport:
     """Residual of the Dirac-Kahler equation: i(d + delta)O - m O."""
     check_mass(m)
-    R = dirac_kahler_apply(O) - m * O
-    return ResidualReport.from_form(R, win, per_site=per_site)
+    return ResidualReport.from_form(dirac_kahler_apply(O) - m * O, win)
 
 
 def joyce_residual_form(Oev: InhomogeneousForm, m: float) -> InhomogeneousForm:
@@ -163,15 +151,14 @@ def joyce_residual_form(Oev: InhomogeneousForm, m: float) -> InhomogeneousForm:
     return dirac_kahler_apply(Oev) - rhs
 
 
-def joyce_residual(Oev: InhomogeneousForm, m: float, win: Window,
-                   per_site: bool = False) -> ResidualReport:
+def joyce_residual(Oev: InhomogeneousForm, m: float,
+                   win: Window) -> ResidualReport:
     """Residual of the Joyce equation: i(d + delta)Oev - m Oev e_0.
 
     Odd grades of the left side enter the residual; they must vanish for a
     solution.
     """
-    return ResidualReport.from_form(joyce_residual_form(Oev, m), win,
-                                    per_site=per_site)
+    return ResidualReport.from_form(joyce_residual_form(Oev, m), win)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +203,6 @@ DK_SYSTEM = {
 
 # Joyce system: odd target components only; LHS rows coincide with the
 # matching DK_SYSTEM rows, the RHS couples to (sign, even source component).
-JOYCE_TARGETS = ((0,), (1,), (2,), (3,), (0, 1, 2), (0, 1, 3), (0, 2, 3),
-                 (1, 2, 3))
 JOYCE_RHS = {
     (0,): (+1, ()),
     (1,): (-1, (0, 1)),
@@ -228,6 +213,7 @@ JOYCE_RHS = {
     (0, 2, 3): (+1, (2, 3)),
     (1, 2, 3): (-1, (0, 1, 2, 3)),
 }
+JOYCE_TARGETS = tuple(JOYCE_RHS)
 
 
 def _push_diffs(O: InhomogeneousForm, targets) -> list:

@@ -91,8 +91,8 @@ class DiscreteForm:
         return not any((self.data[s] != 0).any() for s in self.slots)
 
     def max_norm(self) -> float:
-        a = self.data[list(self.slots)]
-        return float(np.abs(a).max()) if a.size else 0.0
+        """Largest absolute coefficient, 0.0 if none; NaN if any is NaN."""
+        return float(np.abs(self.data[list(self.slots)]).max(initial=0.0))
 
     def __add__(self, other: "DiscreteForm") -> "DiscreteForm":
         return _sum(self, other, 1)
@@ -217,15 +217,8 @@ def _accumulate(degree: int, pieces) -> DiscreteForm:
     slice is the product of its factor arrays, formed only when added.  A
     hull past ``MAX_LOAD_SITES`` and the slices' own size is not allocated."""
     pieces = [p for p in pieces if p[3].size]
-    if len(pieces) < 2:  # its own hull; halves a one-site product's cost
-        if not pieces:
-            return _ZERO[degree]
-        blade, sign, origin, *factors = pieces[0]
-        a = functools.reduce(operator.mul, factors)
-        out = np.zeros((len(GRADE_BLADES[degree]),) + a.shape,
-                       object if a.dtype.hasobject else complex)
-        out[BLADE_SLOT[blade]] = a if sign > 0 else -a
-        return _form(degree, origin, out, (BLADE_SLOT[blade],))
+    if not pieces:
+        return _ZERO[degree]
     ends = [tuple(map(operator.add, p[2], p[3].shape)) for p in pieces]
     lo = tuple(map(min, zip(*(p[2] for p in pieces))))
     hi = tuple(map(max, zip(*ends)))
@@ -252,8 +245,6 @@ def _overlap(u: DiscreteForm, v: DiscreteForm, vo=None):
     """(origin, views of u and v) of their common box, v placed at ``vo``."""
     vo = v.origin if vo is None else vo
     un, vn = u.data.shape[1:], v.data.shape[1:]
-    if vo == u.origin and un == vn:  # no slicing; as in _accumulate
-        return vo, u.data, v.data
     lo = tuple(map(max, u.origin, vo))
     hi = tuple(map(min, map(operator.add, u.origin, un),
                    map(operator.add, vo, vn)))
@@ -302,7 +293,7 @@ class InhomogeneousForm:
         return all(p.is_zero() for p in self.parts)
 
     def max_norm(self) -> float:
-        return max(p.max_norm() for p in self.parts)
+        return float(np.max([p.max_norm() for p in self.parts]))
 
     def __add__(self, other: "InhomogeneousForm") -> "InhomogeneousForm":
         return InhomogeneousForm(map(operator.add, self.parts, other.parts))

@@ -28,9 +28,9 @@ import numpy as np
 
 from .complex4 import _BLADE_TABLE, AXES, GRADE_BLADES, MultiIndex
 from .forms import DiscreteForm, InhomogeneousForm, Window, _accumulate, \
-    _assemble, backward_diff, coboundary, codifferential, forward_diff
+    _assemble, _typed, backward_diff, coboundary, codifferential, forward_diff
 from .clifford import blade_lmul, blade_product
-from .dirac_joyce import ResidualReport, check_mass
+from .dirac_joyce import ResidualReport, _require_even, check_mass
 
 Momentum = Tuple[float, float, float, float]
 
@@ -158,12 +158,9 @@ def eigen_difference_check(label: str, p: Momentum, win: Window) -> float:
     """
     psi = psi_form(label, p, win)
     minus = MINUS_AXES[label]
-    worst = 0.0
-    for mu in AXES:
-        diff = backward_diff(psi, mu) if mu in minus else forward_diff(psi, mu)
-        delta = diff - (1j * p[mu]) * psi
-        worst = max(worst, ResidualReport.from_form(delta, win).interior_max)
-    return worst
+    return float(np.max([ResidualReport.from_form(
+        (backward_diff if mu in minus else forward_diff)(psi, mu)
+        - (1j * p[mu]) * psi, win).interior_max for mu in AXES]))
 
 
 def build_phi(A: EvenAmplitudes, p: Momentum, win: Window) -> InhomogeneousForm:
@@ -298,11 +295,7 @@ def _family_terms(which: str, p: Momentum, m: float):
 
 def split_even(Phi: InhomogeneousForm):
     """Split an even form into the parts commuting / anticommuting with e_0."""
-    for r in (1, 3):
-        part = Phi.part(r)
-        for s, d in part.live():
-            if (part.data[s] != 0).any():
-                raise ValueError(f"odd blade {d!r} in an even form")
+    _require_even(Phi)
     pieces = [(d, 1, part.origin, part.data[s])
               for part in Phi.parts[::2] for s, d in part.live()]
     halves = ({LABEL_BLADES[label] for label in labels}
@@ -397,27 +390,27 @@ class PlaneWaveSpec:
     def from_dict(cls, data: dict) -> "PlaneWaveSpec":
         """Parse a spec.  ``p`` is four components, or ``{"spatial": [...],
         "branch": "+"|"-"}`` with p0 solved for the mass ``m``; an optional
-        ``p["mass"]`` must equal ``m``."""
+        ``p["mass"]`` must equal ``m``.  Numbers are finite ints or floats,
+        window extents ints, and neither may be a bool."""
         try:
-            m = float(data["m"])
-            raw_p = data["p"]
+            m, raw_p = data["m"], data["p"]
+            p = tuple(raw_p["spatial"] if isinstance(raw_p, dict) else raw_p)
+            if not all(map(_finite_number, (m,) + p)):
+                raise ValueError("m and p must be finite numbers")
+            m, p = check_mass(float(m)), tuple(map(float, p))
             if isinstance(raw_p, dict):
-                if "mass" in raw_p and float(raw_p["mass"]) != m:
-                    raise ValueError(
-                        f"p mass {raw_p['mass']!r} differs from m {m!r}"
-                    )
-                spatial = tuple(float(x) for x in raw_p["spatial"])
-                p = (solve_p0(spatial, m, raw_p["branch"]),) + spatial
-            else:
-                p = tuple(float(x) for x in raw_p)
+                mass = raw_p.get("mass", m)
+                if not _finite_number(mass) or mass != m:
+                    raise ValueError(f"p mass {mass!r} is not m {m!r}")
+                p = (solve_p0(p, m, raw_p["branch"]),) + p
             if len(p) != 4:
                 raise ValueError("p needs four components")
-            if not all(map(math.isfinite, (m,) + p)):
-                raise ValueError("m and p must be finite")
+            if not math.isfinite(p[0]):
+                raise ValueError("p0 must be finite")
             amplitudes = EvenAmplitudes.from_json(data.get("amplitudes", {}))
-            window = tuple(int(x) for x in data["window"])
-            if len(window) != 4:
-                raise ValueError("window needs four extents")
+            window = tuple(data["window"])
+            if not _typed(window, int) or len(window) != 4:
+                raise ValueError("window needs four integer extents")
             family = data.get("family", "explicit")
             if family not in ("plus", "minus", "explicit"):
                 raise ValueError(f"unknown family {family!r}")

@@ -6,6 +6,7 @@ from dkjoyce import (
     DiscreteForm,
     InhomogeneousForm,
     NotEven,
+    ResidualReport,
     Window,
     coboundary,
     codifferential,
@@ -73,6 +74,17 @@ def test_not_even():
         joyce_residual(O, 1.0, Window((3, 3, 3, 3)))
 
 
+@pytest.mark.parametrize("value", [1e-13, math.nan])
+def test_not_even_is_any_nonzero_odd_value(value):
+    # no cut-off: a tiny or NaN odd coefficient makes the form odd
+    O = InhomogeneousForm.from_form(
+        DiscreteForm.basis((1, 1, 1, 1), (1,), value))
+    with pytest.raises(NotEven, match=r"odd blade \(1,\)"):
+        joyce_apply_rhs(O, 1.0)
+    with pytest.raises(NotEven):
+        joyce_residual(O, 1.0, Window((3, 3, 3, 3)))
+
+
 def test_joyce_rhs_examples():
     win = Window((2, 2, 2, 2))
     m = 2.0
@@ -135,11 +147,21 @@ def test_residual_report_shape():
     win = Window((3, 3, 3, 3))
     O = InhomogeneousForm.from_form(
         DiscreteForm.basis((2, 2, 2, 2), (0, 1), 1.0))
-    rep = joyce_residual(O, 1.0, win, per_site=True)
+    rep = joyce_residual(O, 1.0, win)
     d = rep.to_dict()
     assert len(d["grade_norms"]) == 5
-    assert {"interior_max", "fringe_max", "per_site"} <= set(d)
-    assert all(rec["k"] and len(rec["dirs"]) in range(5)
-               for rec in d["per_site"])
+    assert {"interior_max", "fringe_max"} <= set(d)
     zero = joyce_residual(InhomogeneousForm.zero(), 1.0, win)
     assert zero.is_zero()
+
+
+def test_residual_report_propagates_nan():
+    win = Window((4, 4, 4, 4))
+    R = InhomogeneousForm.from_coeffs({((2, 2, 2, 2), (0, 1)): math.nan,
+                                       ((1, 1, 1, 1), (0, 1)): 1.0,
+                                       ((1, 1, 1, 1), ()): 2.0})
+    rep = ResidualReport.from_form(R, win)
+    assert math.isnan(rep.interior_max) and math.isnan(rep.grade_max[2])
+    assert math.isnan(rep.grade_l2[2])
+    assert rep.fringe_max == 2.0 and rep.grade_max[0] == 2.0
+    assert not rep.is_zero()

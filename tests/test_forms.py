@@ -387,6 +387,17 @@ def test_eq_holds_on_infinite_values():
     assert w == w and w != DiscreteForm.basis((1, 1, 1, 1), (0,), 1)
 
 
+@pytest.mark.parametrize("first, second", [(1.0, np.nan), (np.nan, 1.0)])
+def test_max_norm_propagates_nan(first, second):
+    # a NaN grade after a finite one, and the other way round
+    O = InhomogeneousForm.from_coeffs({((1, 1, 1, 1), ()): first,
+                                       ((1, 1, 1, 1), (0, 1)): second})
+    assert np.isnan(O.max_norm())
+    w = DiscreteForm(0, {((1, 1, 1, 1), ()): first, ((2, 1, 1, 1), ()): second})
+    assert np.isnan(w.max_norm())
+    assert InhomogeneousForm.zero().max_norm() == 0.0
+
+
 @pytest.mark.parametrize("x", [1.5, True, 1.0])
 def test_site_components_must_be_integers(x):
     # a non-integer component would be truncated into another key's site

@@ -8,6 +8,7 @@ from dkjoyce import (
     DispersionViolated,
     EvenAmplitudes,
     InhomogeneousForm,
+    NotEven,
     PlaneWaveSpec,
     Window,
     algebraic_system_residual,
@@ -191,6 +192,15 @@ def test_split_even_rejects_odd():
         split_even(phi)
 
 
+@pytest.mark.parametrize("value", [1e-13, math.nan])
+def test_split_even_rejects_any_nonzero_odd_value(value):
+    phi = InhomogeneousForm.from_coeffs({((1, 1, 1, 1), ()): 1,
+                                         ((1, 1, 1, 1), (0, 1, 2)): value})
+    with pytest.raises(NotEven, match=r"odd blade \(0, 1, 2\)"):
+        split_even(phi)
+    assert issubclass(NotEven, ValueError)
+
+
 def test_constraint_rest_frame_numerator_vanishes():
     win = Window((3, 3, 3, 3))
     plus = InhomogeneousForm.from_coeffs(
@@ -343,6 +353,30 @@ def test_plane_wave_spec_invalid():
     with pytest.raises(ValueError):
         PlaneWaveSpec.from_dict({"m": 1, "p": [1, 0, 0, 0],
                                  "window": [3] * 4, "family": "other"})
+
+
+@pytest.mark.parametrize("change", [
+    {"window": [3.9, 3, 3, 3]},
+    {"window": [3, 3, 3, True]},
+    {"window": "3333"},
+    {"m": True},
+    {"m": "1"},
+    {"m": -1},
+    {"m": math.inf},
+    {"p": [0.5, 0.1, False, 0.3]},
+    {"p": [0.5, 0.1, math.nan, 0.3]},
+    {"p": [0.5, "0.1", 0.2, 0.3]},
+    {"m": -1, "p": {"spatial": [0, 0, 0], "branch": "+"}},
+    {"p": {"spatial": [0, True, 0], "branch": "+"}},
+    {"p": {"spatial": [1e200, 0, 0], "branch": "+"}},
+    {"p": {"spatial": [0, 0, 0], "mass": True, "branch": "+"}},
+    {"p": {"spatial": [0, 0, 0], "mass": math.nan, "branch": "+"}},
+], ids=str)
+def test_plane_wave_spec_rejects_what_it_would_truncate(change):
+    good = {"m": 1, "p": [0.5, 0.1, 0.2, 0.3], "window": [3, 3, 3, 3]}
+    PlaneWaveSpec.from_dict(good)
+    with pytest.raises(ValueError, match="invalid plane-wave spec"):
+        PlaneWaveSpec.from_dict({**good, **change})
 
 
 def test_plane_wave_spec_mass_single_sourced():
