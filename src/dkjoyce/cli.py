@@ -39,6 +39,7 @@ from .forms import (
     DiscreteForm,
     InhomogeneousForm,
     Window,
+    _ZERO,
     _assemble,
     _form,
     coboundary,
@@ -66,9 +67,11 @@ from .planewave import (
     build_phi,
     derive_amplitude_matrix,
     dispersion_gap,
+    dispersion_scale,
     eigen_relation_residual,
     family_minus,
     family_plus,
+    largest_wave_modulus,
     solve_p0,
 )
 DEFAULT_TOL = 1e-10
@@ -114,19 +117,18 @@ class SuiteConfig:
             values = (value,) if isinstance(value, (int, float)) else value
             if not all(map(math.isfinite, values or ())):
                 raise ConfigInvalid(f"{name} must be finite, got {value}")
-            # squares enter the dispersion relation
-            if name != "tol" and not all(
-                    math.isfinite(x * x) for x in values or ()):
-                raise ConfigInvalid(
-                    f"{name} is too large to square, got {value}")
         if self.p is not None and self.spatial is not None:
             raise ConfigInvalid("give either --p or --spatial, not both")
         if self.branch not in ("+", "-"):
             raise ConfigInvalid(f"branch must be '+' or '-', got {self.branch!r}")
+        # the suite's momentum and the scan's largest, (g, g, g); this also
+        # rejects a mass or momentum whose square overflows
         g = max(map(abs, self.grid), default=0.0)
-        for p0 in (self.momentum()[0], solve_p0((g, g, g), self.mass, "+")):
-            if not math.isfinite(p0 * p0):
-                raise ConfigInvalid(f"energy p0 = {p0} is too large to square")
+        for p in (self.momentum(),
+                  (solve_p0((g, g, g), self.mass, "+"), g, g, g)):
+            if not math.isfinite(largest_wave_modulus(p, Window(self.window))):
+                raise ConfigInvalid(f"waves at p = {list(p)} overflow on the "
+                                    f"window {list(self.window)}")
 
     def momentum(self) -> Tuple[float, float, float, float]:
         if self.p is not None:
@@ -139,18 +141,24 @@ class SuiteConfig:
 # random inputs
 
 def _random_boxes(rng, groups, win: Window, origin=(1, 1, 1, 1)) -> list:
-    """One form per group of blades, with complex values of integer parts
-    in -9..9 on the sites ``origin`` .. ``origin + win.n - 1``, all from one
-    draw in the order of one scalar draw per part: group by group, site by
-    site in ``Window.sites()`` order, blade by blade, real before imaginary."""
+    """One form per group of blades (whole grades in grade order, such as
+    ``GRADE_BLADES[r]`` or ``ALL_BLADES``), with complex values of integer
+    parts in -9..9 on the sites ``origin`` .. ``origin + win.n - 1``, all
+    from one draw in the order of one scalar draw per part: group by group,
+    site by site in ``Window.sites()`` order, blade by blade, real before
+    imaginary."""
     size = sum(map(len, groups)) * math.prod(win.n)
     vals = rng.integers(-9, 10, size=(size, 2)).astype(float).view(complex)
     forms = []
     for blades in groups:
         a, vals = np.split(vals, [len(blades) * math.prod(win.n)])
-        a = a.reshape(tuple(win.n) + (len(blades),))
-        forms.append(_assemble([(b, 1, origin, a[..., i])
-                                for i, b in enumerate(blades)]))
+        a = np.moveaxis(a.reshape(tuple(win.n) + (len(blades),)), -1, 0)
+        parts = list(_ZERO)
+        for r in sorted(set(map(len, blades))):
+            rows = [len(b) == r for b in blades]
+            slots = tuple(range(sum(rows)))
+            parts[r] = _form(r, tuple(origin), a[rows], slots)
+        forms.append(InhomogeneousForm(parts))
     return forms
 
 
@@ -290,19 +298,22 @@ def check_clifford_anticommutators(cfg, rng):
 
 
 def check_clifford_associativity(cfg, rng):
-    # products are sitewise: per left blade a, site (1 + i, 1 + j) of a
-    # 16 x 16 box holds the triple (a, ALL_BLADES[i], ALL_BLADES[j])
-    B = _assemble([(b, 1, (1 + i, 1, 1, 1), np.ones((1, 16, 1, 1)))
+    # products are sitewise: site (1 + i, 1 + j, 1 + l) of a 16 x 16 x 6 box
+    # holds the triple (a_l, ALL_BLADES[i], ALL_BLADES[j]), a_l the l-th
+    # left blade of one grade; yields the failing sites per left blade
+    B = _assemble([(b, 1, (1 + i, 1, 1, 1), np.ones((1, 16, 6, 1)))
                    for i, b in enumerate(ALL_BLADES)])
-    C = _assemble([(c, 1, (1, 1 + j, 1, 1), np.ones((16, 1, 1, 1)))
+    C = _assemble([(c, 1, (1, 1 + j, 1, 1), np.ones((16, 1, 6, 1)))
                    for j, c in enumerate(ALL_BLADES)])
     BC = clifford_mul(B, C)
-    for a in ALL_BLADES:
-        A = unit_form(a, Window((16, 16, 1, 1)))
+    for blades in GRADE_BLADES:
+        A = _assemble([(a, 1, (1, 1, 1 + l, 1), np.ones((16, 16, 1, 1)))
+                       for l, a in enumerate(blades)])
         diff = clifford_mul(clifford_mul(A, B), C) - clifford_mul(A, BC)
-        sites = np.concatenate([np.argwhere((p.data != 0).any(axis=0))
-                                + p.origin for p in diff.parts])
-        yield len(np.unique(sites, axis=0))
+        sites = np.unique(np.concatenate([
+            np.argwhere((p.data != 0).any(axis=0)) + p.origin
+            for p in diff.parts]), axis=0)
+        yield from np.bincount(sites[:, 2] - 1, minlength=len(blades)).tolist()
 
 
 def check_clifford_unit(cfg, rng):
@@ -398,7 +409,7 @@ def planewave_checks(cfg, rng) -> List[dict]:
     M = amplitude_matrix(p, m)
     sv = np.linalg.svd(M, compute_uv=False)
     nullity = int(np.sum(sv < 1e-8 * max(sv[0], 1.0)))
-    want = 4 if abs(gap) <= cfg.tol else 0
+    want = 4 if abs(gap) / dispersion_scale(p, m) <= cfg.tol else 0
     checks.append(_check_record(
         "eq4.17-amplitude-nullity", float(nullity), None,
         passed=(nullity == want),

@@ -10,26 +10,26 @@ Two independent evaluation paths are kept deliberately:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
-from .complex4 import AXES, BLADE_SLOT
+from .complex4 import _BLADE_TABLE, AXES, BLADE_SLOT
 from .forms import (
-    DiscreteForm,
     InhomogeneousForm,
     Window,
+    _ALONG,
     _assemble,
     _parts,
     _shifted,
-    backward_diff,
+    _stencil_pieces,
     coboundary,
     codifferential,
-    forward_diff,
 )
-from .clifford import blade_lmul, blade_rmul, grade_project
+from .clifford import blade_rmul
 
 
 class NotEven(ValueError):
@@ -100,27 +100,20 @@ def dirac_kahler_apply(O: InhomogeneousForm) -> InhomogeneousForm:
 def decomposition(O: InhomogeneousForm) -> InhomogeneousForm:
     """Clifford-difference expression for (d + delta).
 
-    Grade-projects sums of unit 1-forms times forward differences (raising)
-    and backward differences (lowering), gradewise.  Contract: equals
-    coboundary(O) + codifferential(O).
+    Over every grade and axis mu: e_mu times the forward difference along
+    mu, keeping the grade-raising products, plus e_mu times the backward
+    difference, keeping the grade-lowering ones.  Each difference slice is
+    multiplied through the blade table into one piece list, summed once.
+    Contract: equals coboundary(O) + codifferential(O).
     """
-    parts = [DiscreteForm.zero(r) for r in range(5)]
-    for r in range(5):
-        w = O.part(r)
-        if w.is_zero():
-            continue
-        up = InhomogeneousForm.zero()
-        down = InhomogeneousForm.zero()
-        for mu in AXES:
-            fwd = InhomogeneousForm.from_form(forward_diff(w, mu))
-            up = up + blade_lmul((mu,), fwd)
-            bwd = InhomogeneousForm.from_form(backward_diff(w, mu))
-            down = down + blade_lmul((mu,), bwd)
-        if r <= 3:
-            parts[r + 1] = parts[r + 1] + grade_project(up, r + 1)
-        if r >= 1:
-            parts[r - 1] = parts[r - 1] + grade_project(down, r - 1)
-    return InhomogeneousForm(parts)
+    pieces = []
+    # up = +1: forward difference, raising; up = -1: backward, lowering
+    for w, mu, up in itertools.product(O.parts, AXES, (1, -1)):
+        for dirs, sign, origin, a in _stencil_pieces(w, _ALONG[mu], up > 0):
+            esign, nd = _BLADE_TABLE[((mu,), dirs)]
+            if len(nd) == len(dirs) + up:
+                pieces.append((nd, esign * sign, origin, a))
+    return _assemble(pieces)
 
 
 def _require_even(O: InhomogeneousForm):

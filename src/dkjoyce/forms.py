@@ -373,8 +373,8 @@ _LOWER = _routes(raising=False)
 _ALONG = [{dirs: [(mu, 1, dirs)] for dirs in ALL_BLADES} for mu in AXES]
 
 
-def _stencil(w: DiscreteForm, routes: dict, forward: bool,
-             degree: int) -> DiscreteForm:
+def _stencil_pieces(w: DiscreteForm, routes: dict, forward: bool) -> list:
+    """The :func:`_accumulate` pieces of a stencil over ``w``."""
     # forward: f(k + e_mu) - f(k) at k, so f(k) lands at k and k - e_mu;
     # backward: f(k) - f(k - e_mu) at k, so f(k) lands at k and k + e_mu
     step = -1 if forward else 1
@@ -384,7 +384,12 @@ def _stencil(w: DiscreteForm, routes: dict, forward: bool,
             near = _shifted(w.origin, (mu,), step)
             pieces += [(nd, sign * step, w.origin, w.data[s]),
                        (nd, -sign * step, near, w.data[s])]
-    return _accumulate(degree, pieces)
+    return pieces
+
+
+def _stencil(w: DiscreteForm, routes: dict, forward: bool,
+             degree: int) -> DiscreteForm:
+    return _accumulate(degree, _stencil_pieces(w, routes, forward))
 
 
 def forward_diff(w: DiscreteForm, mu: int) -> DiscreteForm:

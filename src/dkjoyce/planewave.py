@@ -121,6 +121,20 @@ def dispersion_gap(p: Momentum, m: float) -> float:
     return p[0] ** 2 - m * m - p[1] ** 2 - p[2] ** 2 - p[3] ** 2
 
 
+def dispersion_scale(p: Momentum, m: float) -> float:
+    """max(p0^2, m^2, 1): the gap is judged relative to its largest terms."""
+    return max(p[0] ** 2, m * m, 1.0)
+
+
+def largest_wave_modulus(p: Momentum, win: Window) -> float:
+    """Largest scalar-wave modulus on ``win`` (inf if it overflows): as
+    |1 +- i p| = sqrt(1 + p^2), psi_0's at the far corner."""
+    try:
+        return math.prod((1 + x * x) ** (n / 2) for x, n in zip(p, win.n))
+    except OverflowError:
+        return math.inf
+
+
 def wave_component(label: str, k: MultiIndex, p: Momentum) -> complex:
     """Value of one scalar wave at a lattice point."""
     minus = MINUS_AXES[label]
@@ -332,7 +346,8 @@ def _family(which: str, coeffs, p: Momentum, m: float, win: Window,
             check_dispersion: bool) -> InhomogeneousForm:
     """Coefficient c_L times the wave psi_L on each blade of its pattern."""
     _denominator(which, p, m)
-    if check_dispersion and abs(gap := dispersion_gap(p, m)) > DISPERSION_TOL:
+    gap = dispersion_gap(p, m)
+    if check_dispersion and abs(gap) / dispersion_scale(p, m) > DISPERSION_TOL:
         raise DispersionViolated(f"dispersion gap {gap:g} exceeds tolerance")
     pieces = []
     for c, (label, combo) in zip(coeffs, _family_terms(which, p, m)):

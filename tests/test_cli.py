@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dkjoyce.cli import (
     ConfigInvalid,
     SuiteConfig,
     _random_amplitudes,
+    _random_boxes,
     config_from_args,
     build_parser,
     dispersion_scan,
@@ -22,7 +24,9 @@ from dkjoyce.cli import (
     random_inhomogeneous,
     run_suite,
 )
-from dkjoyce.complex4 import _BLADE_TABLE, ALL_BLADES, blade_product
+from dkjoyce.complex4 import (_BLADE_TABLE, ALL_BLADES, GRADE_BLADES,
+                              blade_product)
+from dkjoyce.forms import _assemble
 from dkjoyce.dirac_joyce import DK_SYSTEM, JOYCE_RHS
 from dkjoyce.planewave import EvenAmplitudes
 
@@ -163,11 +167,30 @@ def test_text_and_csv_formats():
     ("planewave", ["--spatial", "1e200,0,0"]),
     ("planewave", ["--p", "1e200,0,0,0"]),
     ("dispersion-scan", ["--grid", "1e200"]),
+    # finite momentum whose waves overflow inside the window
+    ("planewave", ["--spatial", "1e60,0,0", "--branch", "+", "--mass", "1"]),
 ])
 def test_malformed_or_nonfinite_input_exit_code(suite, extra, capsys):
     assert run(["run", "--suite", suite] + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mass", "1e6", "--spatial", "1e6,3.3,0", "--branch", "+"],
+    ["--mass", "1e3", "--spatial", "123.4,567.8,9.1", "--branch", "+"],
+])
+def test_on_shell_gap_is_judged_relative_to_its_scale(tmp_path, argv):
+    # p0 from solve_p0 leaves an absolute gap of 1.4e-4 and -2.4e-10 here,
+    # which is rounding at the scale max(p0^2, m^2, 1)
+    out = tmp_path / "r.json"
+    run(["run", "--suite", "planewave", "--format", "json",
+         "--out", str(out)] + argv)
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["eq4.17-amplitude-nullity"]["status"] == "pass"
+    assert checks["eq4.17-amplitude-nullity"]["value"] == 4.0
+    assert not any("DispersionViolated" in c.get("detail", "")
+                   for c in checks.values())
 
 
 @pytest.mark.parametrize("text", ['{"alpha4": [1, Infinity]}', '{'])
@@ -208,6 +231,27 @@ def test_random_inputs_equal_per_value_draws(seed):
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
+@pytest.mark.parametrize("groups", [[ALL_BLADES], list(GRADE_BLADES),
+                                    [GRADE_BLADES[1] + GRADE_BLADES[3]]])
+def test_random_boxes_equal_the_summed_blade_slices(groups):
+    # the forms are built from the drawn array directly; they must equal
+    # the sum of one slice per blade, part by part
+    win, origin = Window((3, 4, 3, 2)), (2, 0, 1, 2)
+    fast, slow = np.random.default_rng(7), np.random.default_rng(7)
+    size = sum(map(len, groups)) * math.prod(win.n)
+    vals = slow.integers(-9, 10, size=(size, 2)).astype(float).view(complex)
+    for blades, got in zip(groups, _random_boxes(fast, groups, win, origin)):
+        a, vals = np.split(vals, [len(blades) * math.prod(win.n)])
+        a = a.reshape(tuple(win.n) + (len(blades),))
+        want = _assemble([(b, 1, origin, a[..., i])
+                          for i, b in enumerate(blades)])
+        for p, q in zip(got.parts, want.parts):
+            assert list(p.items()) == list(q.items())
+            assert (p.slots, p.data.dtype, p.origin) == \
+                (q.slots, q.data.dtype, q.origin)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # each identity check catches a wrong entry in the table it tests
 
@@ -222,9 +266,13 @@ def test_associativity_counts_the_failing_triples(monkeypatch, entry, count):
         s2, xyz = blade_product(*((xy, z) if left else (x, xy)))
         return s1 * s2, xyz
 
-    brute = sum(triple(a, b, c, True) != triple(a, b, c, False)
-                for a, b, c in itertools.product(ALL_BLADES, repeat=3))
-    assert brute == count
+    # the failing triples of each left blade, in ALL_BLADES order
+    brute = [sum(triple(a, b, c, True) != triple(a, b, c, False)
+                 for b, c in itertools.product(ALL_BLADES, repeat=2))
+             for a in ALL_BLADES]
+    assert sum(brute) == count
+    check, _kind = IDENTITY_CHECKS["sec3-clifford-associativity"]
+    assert list(check(SuiteConfig(suite="identities"), None)) == brute
     rec = identity_check("sec3-clifford-associativity",
                          SuiteConfig(suite="identities"),
                          np.random.default_rng(0))

@@ -33,7 +33,7 @@ from dkjoyce import (
     wave_component,
 )
 from dkjoyce.planewave import (FAMILY_LABELS, LABEL_BLADES, WAVE_LABELS,
-                               family_amplitude_matrix)
+                               family_amplitude_matrix, largest_wave_modulus)
 
 import helpers
 from helpers import family_symbols, rand_complex, rng_for
@@ -84,6 +84,15 @@ def test_dispersion_gap_values():
     assert dispersion_gap((M, 0, 0, 0), M) == 0
     assert dispersion_gap((2, 1, 1, 1), 1.0) == 0
     assert dispersion_gap((1, 1, 0, 0), 1.0) == -1
+
+
+@pytest.mark.parametrize("p", [(1.0, 0.5, 0.0, 0.0), (-2.0, 0.3, -1.5, 4.0)])
+def test_largest_wave_modulus_is_the_largest_psi(p):
+    win = Window((3, 4, 3, 5))
+    got = max(np.abs(psi_form(label, p, win).data).max()
+              for label in WAVE_LABELS)
+    assert largest_wave_modulus(p, win) == pytest.approx(got, rel=1e-12)
+    assert largest_wave_modulus((1e60, 1e60, 0, 0), win) == math.inf
 
 
 def test_solve_p0():
