@@ -11,7 +11,6 @@ Two independent evaluation paths are kept deliberately:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import List
 
@@ -53,18 +52,16 @@ class ResidualReport:
     """
 
     grade_max: List[float]
-    grade_l2: List[float]
     interior_max: float
     fringe_max: float
 
     @classmethod
     def from_form(cls, R, win: Window) -> "ResidualReport":
-        gmax, gl2 = [0.0] * 5, [0.0] * 5
+        gmax = [0.0] * 5
         interior, fringe = [], []
         for part in _parts(R):
             a = np.abs(part.data[list(part.slots)]).astype(float)
             gmax[part.degree] = float(a.max(initial=0.0))
-            gl2[part.degree] = math.sqrt((a * a).sum())
             site = a.max(axis=0, initial=0.0)
             # interior sites 2 <= k_mu <= n_mu - 1, as box indices
             inner = tuple(slice(max(2 - o, 0), max(n - o, 0))
@@ -72,7 +69,7 @@ class ResidualReport:
             interior.append(site[inner].max(initial=0.0))
             site[inner] = 0.0
             fringe.append(site.max(initial=0.0))
-        return cls(gmax, gl2, float(np.max(interior, initial=0.0)),
+        return cls(gmax, float(np.max(interior, initial=0.0)),
                    float(np.max(fringe, initial=0.0)))
 
     def is_zero(self) -> bool:
@@ -81,7 +78,7 @@ class ResidualReport:
     def to_dict(self) -> dict:
         return {
             "grade_norms": [
-                {"degree": r, "max": self.grade_max[r], "l2": self.grade_l2[r]}
+                {"degree": r, "max": self.grade_max[r]}
                 for r in range(5)
             ],
             "interior_max": self.interior_max,

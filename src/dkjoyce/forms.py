@@ -339,9 +339,6 @@ class Window:
     def sites(self) -> Iterator[MultiIndex]:
         return itertools.product(*(range(1, x + 1) for x in self.n))
 
-    def is_interior(self, k: MultiIndex) -> bool:
-        return all(2 <= k[mu] <= self.n[mu] - 1 for mu in AXES)
-
     def admissible(self, w) -> bool:
         """Whether every nonzero coefficient of ``w`` lies in the window."""
         return all(((k >= 1) & (k <= self.n)).all() for k in (

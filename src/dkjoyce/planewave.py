@@ -11,11 +11,11 @@ waves sit on the even blades e_L with e_0 e_L = s e_L e_0, its denominator is
 q = m - s p0, wave L's amplitude pattern is q e_L + s sum_j p_j e_0j e_L, and
 its constraint map is left multiplication by s sum_j p_j e_0j / q.
 
-The amplitude-level system is evaluated with one correction to the printed
-source: the alpha4 coefficient in the second equation carries +p3, as
-re-derivation through the Clifford product shows (see
-:func:`derive_amplitude_matrix`, which tests use as the authoritative
-oracle for the transcribed system).
+The amplitude-level system is derived from the blade table and checked
+against the Joyce operator itself.  The printed source carries one sign
+error there (the alpha4 coefficient of its second equation must be +p3);
+its transcription, with that correction, is kept in ``tests/helpers.py``
+as an oracle that the derived system must equal exactly.
 """
 
 from __future__ import annotations
@@ -30,20 +30,18 @@ from .complex4 import _BLADE_TABLE, AXES, GRADE_BLADES, MultiIndex
 from .forms import DiscreteForm, InhomogeneousForm, Window, _accumulate, \
     _assemble, _typed, backward_diff, coboundary, codifferential, forward_diff
 from .clifford import blade_lmul, blade_product
-from .dirac_joyce import ResidualReport, _require_even, check_mass
+from .dirac_joyce import ResidualReport, _require_even, check_mass, \
+    joyce_residual_form
 
 Momentum = Tuple[float, float, float, float]
 
 WAVE_LABELS = ("0", "01", "02", "03", "12", "13", "23", "4")
 
 #: blade attached to each wave label in the even wave form: the even blades
-#: in grade order
+#: in grade order.  Its axes are the wave's minus axes, those carrying a
+#: (1-ip)^(-k) factor
 LABEL_BLADES = dict(zip(WAVE_LABELS, GRADE_BLADES[0] + GRADE_BLADES[2]
                         + GRADE_BLADES[4]))
-
-#: axes carrying a (1-ip)^(-k) factor, per wave label: a wave's minus axes
-#: are exactly the axes of its own blade
-MINUS_AXES = LABEL_BLADES
 
 DEGENERATE_TOL = 1e-9
 DISPERSION_TOL = 1e-9
@@ -135,9 +133,19 @@ def largest_wave_modulus(p: Momentum, win: Window) -> float:
         return math.inf
 
 
+def check_wave_size(p: Momentum, m: float, win: Window) -> None:
+    """Raise ValueError unless the largest wave modulus on ``win`` times s^2,
+    s = max(1, m, |p_mu|), is finite: room for the pattern coefficients (of
+    size s) and the products and sums the checks form from them."""
+    s = max(1.0, m, *map(abs, p))
+    if not math.isfinite(largest_wave_modulus(p, win) * s * s):
+        raise ValueError(f"waves at p = {list(p)} overflow on the window "
+                         f"{list(win.n)}")
+
+
 def wave_component(label: str, k: MultiIndex, p: Momentum) -> complex:
     """Value of one scalar wave at a lattice point."""
-    minus = MINUS_AXES[label]
+    minus = LABEL_BLADES[label]
     out = 1 + 0j
     for mu in AXES:
         if mu in minus:
@@ -150,7 +158,7 @@ def wave_component(label: str, k: MultiIndex, p: Momentum) -> complex:
 def psi_form(label: str, p: Momentum, win: Window) -> DiscreteForm:
     """The scalar wave as a 0-form on a window: the outer product of the
     four axis power vectors."""
-    minus = MINUS_AXES[label]
+    minus = LABEL_BLADES[label]
     axis_pows = []
     for mu in AXES:
         base = (1 - 1j * p[mu]) ** -1 if mu in minus else (1 + 1j * p[mu])
@@ -171,7 +179,7 @@ def eigen_difference_check(label: str, p: Momentum, win: Window) -> float:
     on the others must both act as multiplication by i p_mu.
     """
     psi = psi_form(label, p, win)
-    minus = MINUS_AXES[label]
+    minus = LABEL_BLADES[label]
     return float(np.max([ResidualReport.from_form(
         (backward_diff if mu in minus else forward_diff)(psi, mu)
         - (1j * p[mu]) * psi, win).interior_max for mu in AXES]))
@@ -199,67 +207,45 @@ def eigen_relation_residual(Phi: InhomogeneousForm, p: Momentum,
 # ---------------------------------------------------------------------------
 # amplitude-level algebraic system
 
-#: amplitude order for matrix rows/columns
-AMPLITUDE_ORDER = WAVE_LABELS
-
-# transcribed rows of the eight amplitude equations; entries are
-# (column label, coefficient builder).  Second row carries the corrected
-# +p3 alpha4 term (the printed source has the opposite sign there).
-_SYSTEM_ROWS = (
-    (("0", "P+"), ("01", "p1"), ("02", "p2"), ("03", "p3")),
-    (("12", "P+"), ("02", "-p1"), ("01", "p2"), ("4", "p3")),
-    (("13", "P+"), ("03", "-p1"), ("4", "-p2"), ("01", "p3")),
-    (("23", "P+"), ("4", "p1"), ("03", "-p2"), ("02", "p3")),
-    (("01", "P-"), ("0", "p1"), ("12", "p2"), ("13", "p3")),
-    (("02", "P-"), ("12", "-p1"), ("0", "p2"), ("23", "p3")),
-    (("03", "P-"), ("13", "-p1"), ("23", "-p2"), ("0", "p3")),
-    (("4", "P-"), ("23", "p1"), ("13", "-p2"), ("12", "p3")),
-)
-
-#: odd blade whose component equation each transcribed row restates
-#: (row in the derived matrix equals minus the transcribed row)
+#: odd blade whose component equation each row of the system reads
 SYSTEM_ROW_BLADES = ((0,), (0, 1, 2), (0, 1, 3), (0, 2, 3),
                      (1,), (2,), (3,), (1, 2, 3))
 
 
-def _coef(token: str, p: Momentum, m: float) -> float:
-    sign = -1.0 if token.startswith("-") else 1.0
-    token = token.lstrip("-")
-    if token == "P+":
-        return sign * (p[0] + m)
-    if token == "P-":
-        return sign * (p[0] - m)
-    return sign * p[int(token[1])]
-
-
 def amplitude_matrix(p: Momentum, m: float) -> np.ndarray:
-    """8x8 matrix of the amplitude system (transcribed, corrected)."""
-    check_mass(m)
-    col = {label: i for i, label in enumerate(AMPLITUDE_ORDER)}
-    M = np.zeros((8, 8), dtype=complex)
-    for r, row in enumerate(_SYSTEM_ROWS):
-        for label, token in row:
-            M[r, col[label]] += _coef(token, p, m)
-    return M
+    """8x8 matrix of the amplitude system, derived through the blade table.
 
-
-def derive_amplitude_matrix(p: Momentum, m: float) -> np.ndarray:
-    """Oracle: the same system re-derived through the Clifford product.
-
-    Expands -(sum_mu p_mu e_mu) A - m A e_0 over the even blades at one
-    site and reads off the odd-blade component rows, reordered and negated
-    to line up with :func:`amplitude_matrix`.
+    Expands (sum_mu p_mu e_mu) A + m A e_0 over the even blades (columns in
+    wave-label order) and reads off the odd-blade components, one row per
+    blade of ``SYSTEM_ROW_BLADES``.
     """
     check_mass(m)
     row_of = {blade: r for r, blade in enumerate(SYSTEM_ROW_BLADES)}
     M = np.zeros((8, 8), dtype=complex)
-    for c, label in enumerate(AMPLITUDE_ORDER):
+    for c, label in enumerate(WAVE_LABELS):
         blade = LABEL_BLADES[label]
         for mu in AXES:
             sign, nb = blade_product((mu,), blade)
             M[row_of[nb], c] += p[mu] * sign
         sign, nb = blade_product(blade, (0,))
         M[row_of[nb], c] += m * sign
+    return M
+
+
+def derive_amplitude_matrix(p: Momentum, m: float) -> np.ndarray:
+    """Oracle: the same system read off the Joyce operator.
+
+    The eigen relation turns i(d + delta) into -(sum_mu p_mu e_mu), so
+    column L is minus the Joyce residual of the one wave psi_L e_L at the
+    centre of a 3^4 window, divided by psi_L there.
+    """
+    win, k = Window((3, 3, 3, 3)), (2, 2, 2, 2)
+    M = np.zeros((8, 8), dtype=complex)
+    for c, label in enumerate(WAVE_LABELS):
+        Phi = build_phi(EvenAmplitudes(**{f"alpha{label}": 1}), p, win)
+        R = joyce_residual_form(Phi, m)
+        psi = Phi.get((k, LABEL_BLADES[label]))
+        M[:, c] = [-R.get((k, blade)) / psi for blade in SYSTEM_ROW_BLADES]
     return M
 
 
@@ -426,6 +412,7 @@ class PlaneWaveSpec:
             window = tuple(data["window"])
             if not _typed(window, int) or len(window) != 4:
                 raise ValueError("window needs four integer extents")
+            check_wave_size(p, m, Window(window))
             family = data.get("family", "explicit")
             if family not in ("plus", "minus", "explicit"):
                 raise ValueError(f"unknown family {family!r}")
@@ -450,7 +437,7 @@ def family_amplitude_matrix(which: str, p: Momentum, m: float) -> np.ndarray:
     Built from the amplitude patterns alone (the shared wave factor of each
     column divided out); used for rank and amplitude-equivalence checks.
     """
-    row = {LABEL_BLADES[lab]: i for i, lab in enumerate(AMPLITUDE_ORDER)}
+    row = {LABEL_BLADES[lab]: i for i, lab in enumerate(WAVE_LABELS)}
     M = np.zeros((8, 4), dtype=complex)
     for j, (_label, combo) in enumerate(_family_terms(which, p, m)):
         for blade, coef in combo:

@@ -1,8 +1,8 @@
 """Shared test helpers: seeded random forms over both scalar types, the
-closed-form Joyce residual of the plane-wave families, their transcribed
-amplitude patterns, and the one-coefficient-at-a-time oracles of the box
-paths: the row-by-row record loader, the dict chains and the dict table
-systems."""
+closed-form Joyce residual of the plane-wave families, the transcribed
+amplitude system and family patterns, and the one-coefficient-at-a-time
+oracles of the box paths: the row-by-row record loader, the dict chains and
+the dict table systems."""
 
 import itertools
 import math
@@ -21,9 +21,8 @@ from dkjoyce.dirac_joyce import (DK_SYSTEM, JOYCE_RHS, JOYCE_TARGETS,
                                  _require_even, check_mass)
 from dkjoyce.forms import _form, _rows, _scatter
 from dkjoyce.planewave import (
-    AMPLITUDE_ORDER,
     LABEL_BLADES,
-    MINUS_AXES,
+    WAVE_LABELS,
     family_amplitude_matrix,
 )
 from dkjoyce.serialize import FIELDS, SchemaError
@@ -86,6 +85,12 @@ def rng_for(seed):
     return np.random.default_rng(seed)
 
 
+def is_interior(win: Window, k) -> bool:
+    """Whether site ``k`` keeps a one-cell margin from every face of
+    ``win``: 2 <= k_mu <= n_mu - 1."""
+    return all(2 <= k[mu] <= win.n[mu] - 1 for mu in AXES)
+
+
 # the index shifts along one axis: tau one step up, sigma one step down
 
 def tau_shift(k, mu):
@@ -94,6 +99,48 @@ def tau_shift(k, mu):
 
 def sigma_shift(k, mu):
     return k[:mu] + (k[mu] - 1,) + k[mu + 1:]
+
+
+# ---------------------------------------------------------------------------
+# the amplitude system as transcribed from the source: the oracle of
+# planewave.amplitude_matrix, which derives it from the blade table
+
+# entries are (column label, coefficient builder), one row per equation.
+# The second row carries the corrected +p3 alpha4 term: the printed source
+# has the opposite sign there, and re-derivation through the Clifford
+# product gives +p3.
+_SYSTEM_ROWS = (
+    (("0", "P+"), ("01", "p1"), ("02", "p2"), ("03", "p3")),
+    (("12", "P+"), ("02", "-p1"), ("01", "p2"), ("4", "p3")),
+    (("13", "P+"), ("03", "-p1"), ("4", "-p2"), ("01", "p3")),
+    (("23", "P+"), ("4", "p1"), ("03", "-p2"), ("02", "p3")),
+    (("01", "P-"), ("0", "p1"), ("12", "p2"), ("13", "p3")),
+    (("02", "P-"), ("12", "-p1"), ("0", "p2"), ("23", "p3")),
+    (("03", "P-"), ("13", "-p1"), ("23", "-p2"), ("0", "p3")),
+    (("4", "P-"), ("23", "p1"), ("13", "-p2"), ("12", "p3")),
+)
+
+
+def _coef(token, p, m):
+    sign = -1.0 if token.startswith("-") else 1.0
+    token = token.lstrip("-")
+    if token == "P+":
+        return sign * (p[0] + m)
+    if token == "P-":
+        return sign * (p[0] - m)
+    return sign * p[int(token[1])]
+
+
+def transcribed_amplitude_matrix(p, m):
+    """8x8 matrix of the transcribed (corrected) system: rows in
+    ``SYSTEM_ROW_BLADES`` order, columns in wave-label order."""
+    check_mass(m)
+    col = {label: i for i, label in enumerate(WAVE_LABELS)}
+    M = np.zeros((8, 8), dtype=complex)
+    for r, row in enumerate(_SYSTEM_ROWS):
+        for label, token in row:
+            M[r, col[label]] += _coef(token, p, m)
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +204,7 @@ def axis_factors(label, p):
     """
     out = []
     for mu in AXES:
-        if mu in MINUS_AXES[label]:
+        if mu in LABEL_BLADES[label]:
             out.append((1 / (1 - 1j * p[mu]), 1 - 1j * p[mu]))
         else:
             out.append((1 + 1j * p[mu], 1 / (1 + 1j * p[mu])))
@@ -171,13 +218,13 @@ def family_symbols(which, p, m):
     i(d + delta)Phi - m Phi e_0 of that column is psi_L(k) S_L at every
     interior site: d adds e_mu with the forward eigenvalue of axis mu, delta
     removes it with the backward one, and blade_product supplies the signs,
-    as in ``derive_amplitude_matrix``.  S_L vanishes when every eigenvalue
+    as in ``amplitude_matrix``.  S_L vanishes when every eigenvalue
     met is i p_mu; on a blade that is not psi_L's own a difference against
     the wave's direction (backward on a plus axis, forward on a minus axis)
     gives i p/(1 +- i p) instead, so S_L is zero iff the spatial momentum is.
     """
     patterns = family_amplitude_matrix(which, p, m)
-    blades = [LABEL_BLADES[label] for label in AMPLITUDE_ORDER]
+    blades = [LABEL_BLADES[label] for label in WAVE_LABELS]
     symbols = []
     for label, column in zip(FAMILY_LABELS[which], patterns.T):
         z = axis_factors(label, p)

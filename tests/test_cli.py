@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,11 +170,25 @@ def test_text_and_csv_formats():
     ("dispersion-scan", ["--grid", "1e200"]),
     # finite momentum whose waves overflow inside the window
     ("planewave", ["--spatial", "1e60,0,0", "--branch", "+", "--mass", "1"]),
+    # finite waves, but their products with the pattern coefficients overflow
+    ("planewave", ["--spatial", "1e35,0,0", "--branch", "+", "--mass", "1"]),
 ])
 def test_malformed_or_nonfinite_input_exit_code(suite, extra, capsys):
     assert run(["run", "--suite", suite] + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_large_waves_inside_the_bound_run_without_warnings(tmp_path, capsys):
+    # the waves reach about 1e240 here: no check's arithmetic may overflow,
+    # which numpy would report as a RuntimeWarning on stderr
+    argv = ["run", "--suite", "planewave", "--spatial", "1e30,0,0",
+            "--branch", "+", "--mass", "1", "--out", str(tmp_path / "r.txt")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -189,6 +204,7 @@ def test_on_shell_gap_is_judged_relative_to_its_scale(tmp_path, argv):
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert checks["eq4.17-amplitude-nullity"]["status"] == "pass"
     assert checks["eq4.17-amplitude-nullity"]["value"] == 4.0
+    assert checks["eq4.8-system-oracle"]["status"] == "pass"
     assert not any("DispersionViolated" in c.get("detail", "")
                    for c in checks.values())
 
