@@ -28,7 +28,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,9 +63,9 @@ from .planewave import (
     DegenerateDenominator,
     DispersionViolated,
     EvenAmplitudes,
+    PlaneWaveSpec,
     amplitude_matrix,
     build_phi,
-    check_wave_size,
     derive_amplitude_matrix,
     dispersion_gap,
     dispersion_scale,
@@ -102,34 +102,26 @@ class SuiteConfig:
         if self.suite not in SUITES:
             raise ConfigInvalid(f"unknown suite {self.suite!r}")
         self.window = tuple(self.window)
-        if len(self.window) != 4 or any(
-            not isinstance(x, int) or x < 3 for x in self.window
-        ):
-            raise ConfigInvalid(
-                f"window extents must be four integers >= 3, got {self.window}"
-            )
-        if not self.tol > 0:
-            raise ConfigInvalid(f"tolerance must be positive, got {self.tol}")
-        if not self.mass > 0:
-            raise ConfigInvalid(f"mass must be positive, got {self.mass}")
-        for name in ("tol", "mass", "p", "spatial", "grid"):
-            value = getattr(self, name)
-            values = (value,) if isinstance(value, (int, float)) else value
-            if not all(map(math.isfinite, values or ())):
-                raise ConfigInvalid(f"{name} must be finite, got {value}")
+        if len(self.window) != 4 or not all(
+                isinstance(x, int) and x >= 3 for x in self.window):
+            raise ConfigInvalid(f"window extents must be four integers >= 3, "
+                                f"got {self.window}")
+        if not 0 < self.tol < math.inf:
+            raise ConfigInvalid(f"tol must be finite and > 0, got {self.tol}")
+        if not all(map(math.isfinite, self.grid)):
+            raise ConfigInvalid(f"grid must be finite, got {self.grid}")
         if self.p is not None and self.spatial is not None:
             raise ConfigInvalid("give either --p or --spatial, not both")
-        if self.branch not in ("+", "-"):
-            raise ConfigInvalid(f"branch must be '+' or '-', got {self.branch!r}")
-        # the suite's momentum and the scan's largest, (g, g, g); this also
-        # rejects a mass or momentum whose square overflows
-        g = max(map(abs, self.grid), default=0.0)
-        for p in (self.momentum(),
-                  (solve_p0((g, g, g), self.mass, "+"), g, g, g)):
-            try:
-                check_wave_size(p, self.mass, Window(self.window))
-            except ValueError as exc:
-                raise ConfigInvalid(str(exc)) from exc
+        # a spec checks the suite's wave and the scan's largest, (g, g, g),
+        # whose p0 is solved on --branch so that the branch is checked too
+        g = float(max(map(abs, self.grid), default=0.0))
+        try:
+            PlaneWaveSpec(self.momentum(), self.mass,
+                          self.amplitudes or EvenAmplitudes(), self.window)
+            scan = (solve_p0((g, g, g), self.mass, self.branch), g, g, g)
+            PlaneWaveSpec(scan, self.mass, EvenAmplitudes(), self.window)
+        except ValueError as exc:
+            raise ConfigInvalid(str(exc)) from exc
 
     def momentum(self) -> Tuple[float, float, float, float]:
         if self.p is not None:
@@ -455,18 +447,19 @@ def dispersion_scan(m: float, grid: Sequence[float],
 
     One row per (spatial momentum, branch).  The minus branch uses the plus
     family and the plus branch the minus family, so the family denominator
-    never degenerates for m > 0.  The families solve the discrete Joyce
-    equation only at zero spatial momentum; on the other rows the residual
-    is the closed-form lattice term described in
-    :func:`dkjoyce.planewave.family_plus`, not zero.
+    never degenerates for m > 0; the energy detuned by ``perturb`` can meet
+    that family's pole, m - s p0 = 0, and then takes the mirror family.  The
+    families solve the discrete Joyce equation only at zero spatial
+    momentum; on the other rows the residual is the closed-form lattice term
+    described in :func:`dkjoyce.planewave.family_plus`, not zero.
     """
     win = Window(window)
     rows = []
     for spatial in itertools.product(grid, repeat=3):
-        for branch in ("+", "-"):
+        for branch, builder, mirror in (("+", family_minus, family_plus),
+                                        ("-", family_plus, family_minus)):
             p0 = solve_p0(spatial, m, branch)
             p = (p0,) + tuple(spatial)
-            builder = family_minus if branch == "+" else family_plus
             F = builder((1, 1, 1, 1), p, m, win)
             res = joyce_residual(F, m, win).interior_max
             row = {
@@ -475,8 +468,12 @@ def dispersion_scan(m: float, grid: Sequence[float],
             }
             if perturb:
                 pp = (p0 + 0.1,) + tuple(spatial)
-                Fp = builder((1, 1, 1, 1), pp, m, win,
-                             check_dispersion=False)
+                try:
+                    Fp = builder((1, 1, 1, 1), pp, m, win,
+                                 check_dispersion=False)
+                except DegenerateDenominator:
+                    Fp = mirror((1, 1, 1, 1), pp, m, win,
+                                check_dispersion=False)
                 row["residual_perturbed"] = joyce_residual(
                     Fp, m, win).interior_max
             rows.append(row)
@@ -583,48 +580,58 @@ def format_report(report: dict, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _parse_tuple(text: str, n: Optional[int], cast, what: str):
-    """Comma-separated values; exactly ``n`` of them, or any number >= 1
-    when ``n`` is None."""
-    parts = text.split(",")
-    if n is not None and len(parts) != n:
-        raise ConfigInvalid(f"{what} needs {n} comma-separated values")
-    try:
-        return tuple(cast(x) for x in parts)
-    except ValueError as exc:
-        raise ConfigInvalid(f"invalid {what}: {exc}") from exc
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as :class:`ConfigInvalid`."""
+
+    def error(self, message):
+        raise ConfigInvalid(message)
 
 
-def _load_amplitudes(path: str) -> EvenAmplitudes:
+def _values(cast, n=None):
+    """An argparse type: ``n`` comma-separated values read by ``cast``, or
+    any number >= 1 of them when ``n`` is None."""
+    def parse(text: str) -> tuple:
+        parts = text.split(",")
+        if n is not None and len(parts) != n:
+            raise argparse.ArgumentTypeError(
+                f"needs {n} comma-separated values, got {text!r}")
+        try:
+            return tuple(map(cast, parts))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
+
+
+def _amplitudes_file(path: str) -> EvenAmplitudes:
     with open(path) as fh:
         try:
             return EvenAmplitudes.from_json(json.load(fh))
         except ValueError as exc:
-            raise ConfigInvalid(f"amplitudes file: {exc}") from exc
+            raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dkjoyce",
         description="Verification harness for the discrete lattice calculus.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a verification suite")
     run.add_argument("--suite", required=True, choices=SUITES)
-    run.add_argument("--window", default="4,4,4,4",
+    run.add_argument("--window", type=_values(int, 4), default="4,4,4,4",
                      help="window extents n0,n1,n2,n3 (each >= 3)")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--p", default=None,
+    run.add_argument("--p", type=_values(float, 4), default=None,
                      help="full momentum p0,p1,p2,p3")
-    run.add_argument("--spatial", default=None,
+    run.add_argument("--spatial", type=_values(float, 3), default=None,
                      help="spatial momentum p1,p2,p3 (p0 solved from --branch)")
     run.add_argument("--branch", default="+", choices=["+", "-"])
     run.add_argument("--mass", type=float, default=1.0)
-    run.add_argument("--amplitudes", default=None,
+    run.add_argument("--amplitudes", type=_amplitudes_file, default=None,
                      help="JSON file of even amplitudes (alpha0..alpha4)")
     run.add_argument("--tol", type=float, default=DEFAULT_TOL,
                      help="tolerance (default 1e-10)")
-    run.add_argument("--grid", default="0,0.5",
+    run.add_argument("--grid", type=_values(float), default="0,0.5",
                      help="per-axis values of the dispersion-scan grid")
     run.add_argument("--perturb", action="store_true",
                      help="add a perturbed-energy residual column to the scan")
@@ -636,38 +643,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> SuiteConfig:
-    window = _parse_tuple(args.window, 4, int, "--window")
-    p = None if args.p is None else _parse_tuple(args.p, 4, float, "--p")
-    spatial = None if args.spatial is None else _parse_tuple(
-        args.spatial, 3, float, "--spatial"
-    )
-    grid = _parse_tuple(args.grid, None, float, "--grid")
-    amplitudes = None
-    if args.amplitudes is not None:
-        amplitudes = _load_amplitudes(args.amplitudes)
-    return SuiteConfig(
-        suite=args.suite, window=window, seed=args.seed, mass=args.mass,
-        p=p, spatial=spatial, branch=args.branch, amplitudes=amplitudes,
-        tol=args.tol, perturb=args.perturb, grid=grid,
-    )
+    return SuiteConfig(**{f.name: getattr(args, f.name)
+                          for f in fields(SuiteConfig)})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        report = run_suite(cfg)
+        args = build_parser().parse_args(argv)
+        report = run_suite(config_from_args(args))
         text = format_report(report, args.fmt)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except ConfigInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigInvalid, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if report["overall"] == "pass" else 1

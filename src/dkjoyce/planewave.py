@@ -27,8 +27,9 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .complex4 import _BLADE_TABLE, AXES, GRADE_BLADES, MultiIndex
-from .forms import DiscreteForm, InhomogeneousForm, Window, _accumulate, \
-    _assemble, _typed, backward_diff, coboundary, codifferential, forward_diff
+from .forms import MAX_LOAD_SITES, DiscreteForm, InhomogeneousForm, Window, \
+    _accumulate, _assemble, _typed, backward_diff, coboundary, \
+    codifferential, forward_diff
 from .clifford import blade_lmul, blade_product
 from .dirac_joyce import ResidualReport, _require_even, check_mass, \
     joyce_residual_form
@@ -45,6 +46,7 @@ LABEL_BLADES = dict(zip(WAVE_LABELS, GRADE_BLADES[0] + GRADE_BLADES[2]
 
 DEGENERATE_TOL = 1e-9
 DISPERSION_TOL = 1e-9
+WAVE_ROOM = 64.0
 
 
 class DegenerateDenominator(ZeroDivisionError):
@@ -131,16 +133,6 @@ def largest_wave_modulus(p: Momentum, win: Window) -> float:
         return math.prod((1 + x * x) ** (n / 2) for x, n in zip(p, win.n))
     except OverflowError:
         return math.inf
-
-
-def check_wave_size(p: Momentum, m: float, win: Window) -> None:
-    """Raise ValueError unless the largest wave modulus on ``win`` times s^2,
-    s = max(1, m, |p_mu|), is finite: room for the pattern coefficients (of
-    size s) and the products and sums the checks form from them."""
-    s = max(1.0, m, *map(abs, p))
-    if not math.isfinite(largest_wave_modulus(p, win) * s * s):
-        raise ValueError(f"waves at p = {list(p)} overflow on the window "
-                         f"{list(win.n)}")
 
 
 def wave_component(label: str, k: MultiIndex, p: Momentum) -> complex:
@@ -387,38 +379,54 @@ class PlaneWaveSpec:
     window: Tuple[int, int, int, int]
     family: str = "explicit"
 
+    def __post_init__(self):
+        """The one value check of a wave, however the spec is made: m > 0
+        and p0..p3 finite, four int window extents over at most
+        ``MAX_LOAD_SITES`` sites, a known family, and waves that fit: the
+        largest wave modulus on the window times s^2, s = max(1, m, |p_mu|),
+        times max(1, |alpha|) times ``WAVE_ROOM`` must be finite.  s^2 is
+        room for the pattern coefficients (of size s) and the products the
+        checks form, ``WAVE_ROOM`` for the sums and for the amplitudes the
+        CLI draws when none are given (|alpha| < 13)."""
+        p, m, window = self.p, self.m, self.window
+        if len(p) != 4 or not all(map(_finite_number, (m,) + tuple(p))):
+            raise ValueError(f"m and the four p0..p3 must be finite numbers, "
+                             f"got m={m!r}, p={p!r}")
+        check_mass(m)
+        if len(window) != 4 or not _typed(window, int):
+            raise ValueError(f"window needs four int extents, got {window!r}")
+        if (sites := math.prod(Window(window).n)) > MAX_LOAD_SITES:
+            raise ValueError(f"window has {sites} sites > {MAX_LOAD_SITES}")
+        try:
+            alpha = max(1.0, *map(abs, astuple(self.amplitudes)))
+        except OverflowError:
+            alpha = math.inf
+        s = max(1.0, m, *map(abs, p))
+        if not math.isfinite(largest_wave_modulus(p, Window(window))
+                             * s * s * alpha * WAVE_ROOM):
+            raise ValueError(f"waves at p = {list(p)} with max(1, |alpha|) = "
+                             f"{alpha:g} overflow the window {list(window)}")
+        if self.family not in ("plus", "minus", "explicit"):
+            raise ValueError(f"unknown family {self.family!r}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "PlaneWaveSpec":
         """Parse a spec.  ``p`` is four components, or ``{"spatial": [...],
         "branch": "+"|"-"}`` with p0 solved for the mass ``m``; an optional
-        ``p["mass"]`` must equal ``m``.  Numbers are finite ints or floats,
-        window extents ints, and neither may be a bool."""
+        ``p["mass"]`` must equal ``m``.  The constructor checks the values."""
         try:
-            m, raw_p = data["m"], data["p"]
-            p = tuple(raw_p["spatial"] if isinstance(raw_p, dict) else raw_p)
-            if not all(map(_finite_number, (m,) + p)):
-                raise ValueError("m and p must be finite numbers")
-            m, p = check_mass(float(m)), tuple(map(float, p))
-            if isinstance(raw_p, dict):
-                mass = raw_p.get("mass", m)
+            m, p = data["m"], data["p"]
+            if isinstance(p, dict):
+                mass = p.get("mass", m)
                 if not _finite_number(mass) or mass != m:
                     raise ValueError(f"p mass {mass!r} is not m {m!r}")
-                p = (solve_p0(p, m, raw_p["branch"]),) + p
-            if len(p) != 4:
-                raise ValueError("p needs four components")
-            if not math.isfinite(p[0]):
-                raise ValueError("p0 must be finite")
+                spatial = tuple(p["spatial"])
+                p = (solve_p0(spatial, m, p["branch"]),) + spatial
             amplitudes = EvenAmplitudes.from_json(data.get("amplitudes", {}))
-            window = tuple(data["window"])
-            if not _typed(window, int) or len(window) != 4:
-                raise ValueError("window needs four integer extents")
-            check_wave_size(p, m, Window(window))
-            family = data.get("family", "explicit")
-            if family not in ("plus", "minus", "explicit"):
-                raise ValueError(f"unknown family {family!r}")
+            return cls(tuple(p), m, amplitudes, tuple(data["window"]),
+                       data.get("family", "explicit"))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid plane-wave spec: {exc}") from exc
-        return cls(p, m, amplitudes, window, family)
 
     def build(self) -> InhomogeneousForm:
         win = Window(self.window)

@@ -113,6 +113,16 @@ def test_dispersion_scan_perturb_column():
         assert r["residual_perturbed"] > 1e-2
 
 
+def test_perturbed_scan_at_a_family_pole_takes_the_mirror_family():
+    # at m = 0.05 the minus branch's detuned energy, -0.05 + 0.1, is the pole
+    # m - p0 = 0 of its plus family; the minus family is built there instead,
+    # and as that energy is on shell on the + branch its residual vanishes
+    rows = dispersion_scan(0.05, (0.0,), (3, 3, 3, 3), perturb=True)
+    assert [r["branch"] for r in rows] == ["+", "-"]
+    assert rows[0]["residual_perturbed"] > 1e-2
+    assert rows[1]["residual_perturbed"] < 1e-12
+
+
 def test_scan_csv_output(tmp_path):
     out = tmp_path / "scan.csv"
     code = run(["run", "--suite", "dispersion-scan", "--mass", "1",
@@ -172,6 +182,20 @@ def test_text_and_csv_formats():
     ("planewave", ["--spatial", "1e60,0,0", "--branch", "+", "--mass", "1"]),
     # finite waves, but their products with the pattern coefficients overflow
     ("planewave", ["--spatial", "1e35,0,0", "--branch", "+", "--mass", "1"]),
+    # a window of more than 32^4 sites, rejected before any allocation
+    ("identities", ["--window", "3,100000,100000,100000", "--grid", "0"]),
+    ("planewave", ["--spatial", "0,0,0", "--window", "3,100000,100000,100000",
+                   "--grid", "0"]),
+    # malformed argv, reported by the parser in one line
+    ("planewave", ["--mass", "abc"]),
+    ("planewave", ["--tol", "x"]),
+    ("identities", ["--seed", "1.5"]),
+    ("identities", ["--suite", "nope"]),
+    ("identities", ["--bogus", "1"]),
+    # waves that fit with amplitude 1 but not with the drawn ones (|alpha|
+    # up to 12.7) and the checks' sums
+    ("planewave", ["--spatial", "0,0,0", "--grid", "0",
+                   "--window", "2046,3,3,3"]),
 ])
 def test_malformed_or_nonfinite_input_exit_code(suite, extra, capsys):
     assert run(["run", "--suite", suite] + extra) == 2
@@ -189,6 +213,38 @@ def test_large_waves_inside_the_bound_run_without_warnings(tmp_path, capsys):
         assert run(argv) == 0
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, amplitudes", [
+    # the largest window the bound accepts here, with drawn amplitudes
+    (["--spatial", "0,0,0", "--grid", "0", "--window", "2034,3,3,3"], None),
+    # the largest amplitude the bound accepts at rest on 3^4, about 9.9e305
+    (["--spatial", "0,0,0", "--grid", "0", "--window", "3,3,3,3"],
+     {"alpha0": [9.8e305, 0]}),
+])
+def test_waves_at_the_bound_run_without_warnings(tmp_path, capsys, argv,
+                                                 amplitudes):
+    if amplitudes is not None:
+        path = tmp_path / "amp.json"
+        path.write_text(json.dumps(amplitudes))
+        argv = argv + ["--amplitudes", str(path)]
+    argv = ["run", "--suite", "planewave", "--out",
+            str(tmp_path / "r.txt")] + argv
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ""
+
+
+def test_config_checks_its_waves_through_the_spec():
+    # branch, mass and momentum are checked by the specs SuiteConfig builds
+    for kwargs in (dict(p=(1, 0, 0, 0), branch="x"), dict(mass=math.nan),
+                   dict(p=(1, 0, 0)), dict(spatial=(0, math.nan, 0)),
+                   dict(window=(3, 100000, 100000, 100000), grid=(0,)),
+                   dict(amplitudes=EvenAmplitudes(alpha12=1e308))):
+        with pytest.raises(ConfigInvalid):
+            SuiteConfig(suite="planewave", **kwargs)
 
 
 @pytest.mark.parametrize("argv", [
@@ -209,7 +265,13 @@ def test_on_shell_gap_is_judged_relative_to_its_scale(tmp_path, argv):
                    for c in checks.values())
 
 
-@pytest.mark.parametrize("text", ['{"alpha4": [1, Infinity]}', '{'])
+@pytest.mark.parametrize("text", [
+    '{"alpha4": [1, Infinity]}', '{',
+    # finite amplitudes whose waves overflow
+    '{"alpha0": [1.7e308, 1.7e308], "alpha12": [1e308, 0]}',
+    # JSON that is not an object of amplitudes
+    'null', '[]', '0',
+])
 def test_amplitudes_file_rejected(tmp_path, capsys, text):
     amp = tmp_path / "amp.json"
     amp.write_text(text)

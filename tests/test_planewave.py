@@ -385,12 +385,31 @@ def test_plane_wave_spec_invalid():
     {"p": {"spatial": [1e60, 0, 0], "branch": "+"}, "window": [8, 8, 8, 8]},
     {"p": {"spatial": [0, 0, 0], "mass": True, "branch": "+"}},
     {"p": {"spatial": [0, 0, 0], "mass": math.nan, "branch": "+"}},
+    {"amplitudes": {"alpha12": [1e308, 0]}},
+    {"window": [3, 100000, 100000, 100000]},
 ], ids=str)
 def test_plane_wave_spec_rejects_what_it_would_truncate(change):
     good = {"m": 1, "p": [0.5, 0.1, 0.2, 0.3], "window": [3, 3, 3, 3]}
     PlaneWaveSpec.from_dict(good)
     with pytest.raises(ValueError, match="invalid plane-wave spec"):
         PlaneWaveSpec.from_dict({**good, **change})
+
+
+@pytest.mark.parametrize("change", [
+    {"m": -1.0}, {"p": (math.nan, 0, 0, 0)}, {"p": (1, 0, 0)},
+    {"window": (3, 3, 3, 3.0)}, {"window": (3, 3, 3, 0)},
+    {"window": (3, 3, 3, 40000)},
+    {"p": (1e60, 0, 0, 0), "window": (8, 8, 8, 8)},
+    {"amplitudes": EvenAmplitudes(alpha0=1e307 * (1 + 1j))},
+    {"family": "other"},
+], ids=["m", "p-nan", "p-three", "window-float", "window-zero",
+        "window-sites", "wave-size", "amplitude-size", "family"])
+def test_plane_wave_spec_checks_itself_however_made(change):
+    good = dict(p=(1, 0, 0, 0), m=1.0, amplitudes=EvenAmplitudes(),
+                window=(3, 3, 3, 3))
+    PlaneWaveSpec(**good)
+    with pytest.raises(ValueError):
+        PlaneWaveSpec(**{**good, **change})
 
 
 def test_plane_wave_spec_mass_single_sourced():
