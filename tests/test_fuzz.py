@@ -22,6 +22,7 @@ from dkjoyce.planewave import EvenAmplitudes, PlaneWaveSpec
 AMPLITUDE_NAMES = [f"alpha{label}" for label in
                    ("0", "01", "02", "03", "12", "13", "23", "4")]
 
+
 def _mostly(clean, dirty):
     """``clean`` about nine draws in ten, else ``dirty``: one bad field
     rejects a run, so most fields must be good for runs to happen (``one_of``
