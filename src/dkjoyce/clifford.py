@@ -57,27 +57,27 @@ def clifford_mul(
     return _assemble(pieces)
 
 
-def _blade_mul(A, blade, left: bool, scalar) -> InhomogeneousForm:
-    """Multiply every stored blade slice of ``A`` by ``blade`` on the left
-    (or right) and by ``scalar``."""
+def _blade_pieces(A, blade, left: bool, scalar) -> list:
+    """The :func:`_assemble` pieces of every stored blade slice of ``A``
+    multiplied by ``blade`` on the left (or right) and by ``scalar``."""
     blade = normalize_dirs(blade)
     pieces = []
     for p in _parts(A):
-        data = p.data if scalar == 1 else scalar * p.data
+        p = p if scalar == 1 else scalar * p
         for s, d in p.live():
             sign, nb = _BLADE_TABLE[(blade, d) if left else (d, blade)]
-            pieces.append((nb, sign, p.origin, data[s]))
-    return _assemble(pieces)
+            pieces.append((nb, sign, p.origin, p.data[s]))
+    return pieces
 
 
 def blade_lmul(blade, A, scalar=1):
     """Left-multiply by the implicit unit form of ``blade`` (all sites)."""
-    return _blade_mul(A, blade, True, scalar)
+    return _assemble(_blade_pieces(A, blade, True, scalar))
 
 
 def blade_rmul(A, blade, scalar=1):
     """Right-multiply by the implicit unit form of ``blade`` (all sites)."""
-    return _blade_mul(A, blade, False, scalar)
+    return _assemble(_blade_pieces(A, blade, False, scalar))
 
 
 def unit_form(dirs, win: Window) -> InhomogeneousForm:

@@ -2,15 +2,18 @@
 
 Two independent evaluation paths are kept deliberately:
 
-* the operator pipeline i(d + delta) built from :mod:`dkjoyce.forms`, and
+* the operator route: :func:`decomposition`'s Clifford-difference pieces
+  of sum_mu e_mu Delta+-_mu, each residual summed once with its mass
+  pieces (coboundary + codifferential is the eq3.6 reference), and
 * hard-coded per-site difference systems (16 equations for the full
   Dirac-Kahler equation, 8 for the Joyce equation on even forms),
-  transcribed once and cross-validated against the pipeline in tests.
+  transcribed once and cross-validated against the operator in tests.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import List
 
@@ -23,12 +26,9 @@ from .forms import (
     _ALONG,
     _assemble,
     _parts,
-    _shifted,
     _stencil_pieces,
-    coboundary,
-    codifferential,
 )
-from .clifford import blade_rmul
+from .clifford import _blade_pieces, blade_rmul
 
 
 class NotEven(ValueError):
@@ -36,8 +36,8 @@ class NotEven(ValueError):
 
 
 def check_mass(m: float) -> float:
-    if not m > 0:
-        raise ValueError(f"mass parameter must be positive, got {m}")
+    if not 0 < m < np.inf:
+        raise ValueError(f"mass must be positive and finite, got {m}")
     return m
 
 
@@ -89,20 +89,11 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 # operator pipeline
 
-def dirac_kahler_apply(O: InhomogeneousForm) -> InhomogeneousForm:
-    """The first-order operator i(d + delta)."""
-    return 1j * (coboundary(O) + codifferential(O))
-
-
-def decomposition(O: InhomogeneousForm) -> InhomogeneousForm:
-    """Clifford-difference expression for (d + delta).
-
-    Over every grade and axis mu: e_mu times the forward difference along
-    mu, keeping the grade-raising products, plus e_mu times the backward
-    difference, keeping the grade-lowering ones.  Each difference slice is
-    multiplied through the blade table into one piece list, summed once.
-    Contract: equals coboundary(O) + codifferential(O).
-    """
+def _dirac_pieces(O: InhomogeneousForm) -> list:
+    """The :func:`_assemble` pieces of (d + delta)O as the Clifford-difference
+    sum: over every grade and axis mu, e_mu times the forward difference
+    along mu, keeping the grade-raising products, and e_mu times the backward
+    difference, keeping the grade-lowering ones."""
     pieces = []
     # up = +1: forward difference, raising; up = -1: backward, lowering
     for w, mu, up in itertools.product(O.parts, AXES, (1, -1)):
@@ -110,7 +101,18 @@ def decomposition(O: InhomogeneousForm) -> InhomogeneousForm:
             esign, nd = _BLADE_TABLE[((mu,), dirs)]
             if len(nd) == len(dirs) + up:
                 pieces.append((nd, esign * sign, origin, a))
-    return _assemble(pieces)
+    return pieces
+
+
+def decomposition(O: InhomogeneousForm) -> InhomogeneousForm:
+    """Clifford-difference expression for (d + delta), summed once; equals
+    coboundary(O) + codifferential(O)."""
+    return _assemble(_dirac_pieces(O))
+
+
+def dirac_kahler_apply(O: InhomogeneousForm) -> InhomogeneousForm:
+    """The first-order operator i(d + delta)."""
+    return decomposition(1j * O)
 
 
 def _require_even(O: InhomogeneousForm):
@@ -132,13 +134,16 @@ def joyce_apply_rhs(Oev: InhomogeneousForm, m: float) -> InhomogeneousForm:
 def dk_residual(O: InhomogeneousForm, m: float, win: Window) -> ResidualReport:
     """Residual of the Dirac-Kahler equation: i(d + delta)O - m O."""
     check_mass(m)
-    return ResidualReport.from_form(dirac_kahler_apply(O) - m * O, win)
+    return ResidualReport.from_form(_assemble(
+        _dirac_pieces(1j * O) + _blade_pieces(O, (), True, -m)), win)
 
 
 def joyce_residual_form(Oev: InhomogeneousForm, m: float) -> InhomogeneousForm:
     """The raw Joyce residual form i(d + delta)Oev - m Oev e_0 (linear in Oev)."""
-    rhs = joyce_apply_rhs(Oev, m)
-    return dirac_kahler_apply(Oev) - rhs
+    check_mass(m)
+    _require_even(Oev)
+    return _assemble(_dirac_pieces(1j * Oev)
+                     + _blade_pieces(Oev, (0,), False, -m))
 
 
 def joyce_residual(Oev: InhomogeneousForm, m: float,
@@ -208,34 +213,29 @@ JOYCE_TARGETS = tuple(JOYCE_RHS)
 
 def _push_diffs(O: InhomogeneousForm, targets) -> list:
     """Pieces for :func:`_assemble` of sign * Delta^kind_mu (source
-    component) over the ``DK_SYSTEM`` terms of ``targets``: a difference
-    adds each stored source slice at its own sites and, negated, one site
-    over along mu."""
-    pieces = []
+    component) over the ``DK_SYSTEM`` terms of ``targets``: a stencil whose
+    routes run from each source component to its targets."""
+    routes = {"+": defaultdict(list), "-": defaultdict(list)}
     for target in targets:
         for sign, kind, mu, src in DK_SYSTEM[target]:
-            p, s = O.part(len(src)), BLADE_SLOT[src]
-            if s in p.slots:
-                # forward: f(k) lands at k and k - e_mu; backward: k, k + e_mu
-                step = -1 if kind == "+" else 1
-                pieces += [(target, sign * step, p.origin, p.data[s]),
-                           (target, -sign * step,
-                            _shifted(p.origin, (mu,), step), p.data[s])]
-    return pieces
+            routes[kind][src].append((mu, sign, target))
+    return [x for w in O.parts for kind in "+-"
+            for x in _stencil_pieces(w, routes[kind], kind == "+")]
 
 
 def dk_system_residual(O: InhomogeneousForm, m: float) -> InhomogeneousForm:
     """Residual of the 16 per-site difference equations (table path)."""
     check_mass(m)
-    return 1j * _assemble(_push_diffs(O, DK_SYSTEM)) - m * O
+    return _assemble(_push_diffs(1j * O, DK_SYSTEM)
+                     + _blade_pieces(O, (), True, -m))
 
 
 def joyce_system_residual(Oev: InhomogeneousForm, m: float) -> InhomogeneousForm:
     """Residual of the 8 per-site difference equations (table path)."""
     check_mass(m)
     _require_even(Oev)
-    rhs = _assemble([(target, sign, p.origin, p.data[BLADE_SLOT[src]])
-                     for target, (sign, src) in JOYCE_RHS.items()
-                     for p in [Oev.part(len(src))]
-                     if BLADE_SLOT[src] in p.slots])
-    return 1j * _assemble(_push_diffs(Oev, JOYCE_TARGETS)) - m * rhs
+    mOev = m * Oev
+    return _assemble(_push_diffs(1j * Oev, JOYCE_TARGETS) + [
+        (target, -sign, p.origin, p.data[BLADE_SLOT[src]])
+        for target, (sign, src) in JOYCE_RHS.items()
+        for p in [mOev.part(len(src))] if BLADE_SLOT[src] in p.slots])

@@ -101,8 +101,13 @@ class DiscreteForm:
         return _sum(self, other, -1)
 
     def __rmul__(self, scalar) -> "DiscreteForm":
-        # scale the stored values only, not the zero padding
-        data = self.data.astype(np.result_type(self.data, np.asarray(scalar)))
+        # scale the stored values only, not the zero padding (0 * inf is NaN,
+        # exact zeros are slow), unless complex128 padding stays zero
+        dtype = np.result_type(self.data, np.asarray(scalar))
+        if dtype == complex and np.isfinite(scalar):
+            return _form(self.degree, self.origin, scalar * self.data,
+                         self.slots)
+        data = self.data.astype(dtype)
         nz = data != 0
         data[nz] = scalar * data[nz]
         return _form(self.degree, self.origin, data, self.slots)
@@ -384,19 +389,24 @@ def _stencil_pieces(w: DiscreteForm, routes: dict, forward: bool) -> list:
     return pieces
 
 
-def _stencil(w: DiscreteForm, routes: dict, forward: bool,
-             degree: int) -> DiscreteForm:
-    return _accumulate(degree, _stencil_pieces(w, routes, forward))
+def _stencil(w, routes: dict, forward: bool, shift: int = 0):
+    """The stencil summed over every part of ``w``; a discrete form maps to
+    degree + ``shift``, clamped to 0..4 (where the image is zero)."""
+    pieces = [p for part in _parts(w)
+              for p in _stencil_pieces(part, routes, forward)]
+    if isinstance(w, InhomogeneousForm):
+        return _assemble(pieces)
+    return _accumulate(min(max(w.degree + shift, 0), 4), pieces)
 
 
 def forward_diff(w: DiscreteForm, mu: int) -> DiscreteForm:
     """Forward difference on every coefficient function, zero extension."""
-    return _stencil(w, _ALONG[mu], True, w.degree)
+    return _stencil(w, _ALONG[mu], True)
 
 
 def backward_diff(w: DiscreteForm, mu: int) -> DiscreteForm:
     """Backward difference on every coefficient function, zero extension."""
-    return _stencil(w, _ALONG[mu], False, w.degree)
+    return _stencil(w, _ALONG[mu], False)
 
 
 def coboundary(w):
@@ -405,11 +415,7 @@ def coboundary(w):
     Built from forward differences with alternating signs; dual to the
     chain boundary under the pairing.
     """
-    if isinstance(w, InhomogeneousForm):
-        return InhomogeneousForm([_ZERO[0]] + [
-            _stencil(p, _RAISE, True, p.degree + 1) for p in w.parts[:4]])
-    # a 4-form has no routes: no room to raise, the image is the zero form
-    return _stencil(w, _RAISE, True, min(w.degree + 1, 4))
+    return _stencil(w, _RAISE, True, 1)
 
 
 def codifferential(w):
@@ -417,11 +423,7 @@ def codifferential(w):
 
     Built from backward differences; independent of the overall metric sign.
     """
-    if isinstance(w, InhomogeneousForm):
-        return InhomogeneousForm([
-            _stencil(p, _LOWER, False, p.degree - 1) for p in w.parts[1:]]
-            + [_ZERO[4]])
-    return _stencil(w, _LOWER, False, max(w.degree - 1, 0))
+    return _stencil(w, _LOWER, False, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,10 @@ import numpy as np
 
 from .complex4 import _BLADE_TABLE, AXES, GRADE_BLADES, MultiIndex
 from .forms import MAX_LOAD_SITES, DiscreteForm, InhomogeneousForm, Window, \
-    _accumulate, _assemble, _typed, backward_diff, coboundary, \
-    codifferential, forward_diff
-from .clifford import blade_lmul, blade_product
-from .dirac_joyce import ResidualReport, _require_even, check_mass, \
-    joyce_residual_form
+    _ALONG, _accumulate, _assemble, _stencil_pieces, _typed
+from .clifford import _blade_pieces, blade_product
+from .dirac_joyce import ResidualReport, _dirac_pieces, _require_even, \
+    check_mass, joyce_residual_form
 
 Momentum = Tuple[float, float, float, float]
 
@@ -172,9 +171,10 @@ def eigen_difference_check(label: str, p: Momentum, win: Window) -> float:
     """
     psi = psi_form(label, p, win)
     minus = LABEL_BLADES[label]
-    return float(np.max([ResidualReport.from_form(
-        (backward_diff if mu in minus else forward_diff)(psi, mu)
-        - (1j * p[mu]) * psi, win).interior_max for mu in AXES]))
+    return float(np.max([ResidualReport.from_form(_accumulate(0, (
+        _stencil_pieces(psi, _ALONG[mu], mu not in minus)
+        + _blade_pieces(psi, (), True, -1j * p[mu]))), win).interior_max
+        for mu in AXES]))
 
 
 def build_phi(A: EvenAmplitudes, p: Momentum, win: Window) -> InhomogeneousForm:
@@ -188,12 +188,10 @@ def build_phi(A: EvenAmplitudes, p: Momentum, win: Window) -> InhomogeneousForm:
 def eigen_relation_residual(Phi: InhomogeneousForm, p: Momentum,
                             win: Window) -> float:
     """Interior max-norm of (d + delta)Phi - i (sum_mu p_mu e_mu) Phi."""
-    lhs = coboundary(Phi) + codifferential(Phi)
-    rhs = InhomogeneousForm.zero()
-    for mu in AXES:
-        if p[mu] != 0:
-            rhs = rhs + blade_lmul((mu,), Phi, 1j * p[mu])
-    return ResidualReport.from_form(lhs - rhs, win).interior_max
+    return ResidualReport.from_form(_assemble(_dirac_pieces(Phi) + [
+        x for mu in AXES if p[mu] != 0
+        for x in _blade_pieces(Phi, (mu,), True, -1j * p[mu])]),
+        win).interior_max
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +297,9 @@ def split_even(Phi: InhomogeneousForm):
 def _constraint(which: str, Phi: InhomogeneousForm, p: Momentum,
                 m: float) -> InhomogeneousForm:
     q = _denominator(which, p, m)
-    out = InhomogeneousForm.zero()
-    for j in (1, 2, 3):
-        if p[j] != 0:
-            out = out + blade_lmul((0, j), Phi, FAMILY_SIGN[which] * p[j] / q)
-    return out
+    return _assemble([x for j in (1, 2, 3) if p[j] != 0
+                      for x in _blade_pieces(Phi, (0, j), True,
+                                             FAMILY_SIGN[which] * p[j] / q)])
 
 
 def constraint_minus_from_plus(PhiPlus: InhomogeneousForm, p: Momentum,

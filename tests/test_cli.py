@@ -203,6 +203,25 @@ def test_malformed_or_nonfinite_input_exit_code(suite, extra, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("suite, option, value, code", [
+    ("planewave", "--spatial", "-0.5,0,0", 1),  # families fail off rest
+    ("dispersion-scan", "--grid", "-0.5,0", 0),
+])
+def test_negative_first_component_needs_the_equals_form(tmp_path, capsys,
+                                                        suite, option,
+                                                        value, code):
+    # after a space, argparse reads "-0.5,..." as an option, not a value
+    out = tmp_path / "r.json"
+    argv = ["run", "--suite", suite, "--mass", "1", "--format", "json",
+            "--out", str(out)]
+    assert run(argv + [f"{option}={value}"]) == code
+    assert json.loads(out.read_text())["overall"] in ("pass", "fail")
+    assert capsys.readouterr().err == ""
+    assert run(argv + [option, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_large_waves_inside_the_bound_run_without_warnings(tmp_path, capsys):
     # the waves reach about 1e240 here: no check's arithmetic may overflow,
     # which numpy would report as a RuntimeWarning on stderr
@@ -419,6 +438,7 @@ def test_negated_table_entry_fails_both_kinds_of_check(monkeypatch):
     assert report["overall"] == "fail"
     failed = {c["name"]: c for c in report["checks"] if c["status"] == "fail"}
     assert sorted(failed) == ["eq2.15-leibniz",
+                              "eq3.3-dk-system-consistency",
                               "eq3.5-clifford-anticommutators",
                               "eq3.6-decomposition",
                               "sec3-clifford-associativity"]

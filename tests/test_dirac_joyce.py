@@ -64,6 +64,13 @@ def test_mass_validation():
         dk_residual(O, 0.0, Window((3, 3, 3, 3)))
     with pytest.raises(ValueError):
         joyce_residual(O, -1.0, Window((3, 3, 3, 3)))
+    # an infinite mass would scale the zero padding into NaN
+    with pytest.raises(ValueError, match="must be positive"):
+        dk_residual(O, math.inf, Window((3, 3, 3, 3)))
+    with pytest.raises(ValueError, match="must be positive"):
+        joyce_residual(O, math.inf, Window((3, 3, 3, 3)))
+    with pytest.raises(ValueError, match="must be positive"):
+        joyce_apply_rhs(O, math.inf)
 
 
 def test_not_even():

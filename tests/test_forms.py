@@ -13,21 +13,28 @@ from dkjoyce import (
     GaussianRational,
     InhomogeneousForm,
     NotAdmissible,
+    ResidualReport,
     Window,
     backward_diff,
+    blade_lmul,
     boundary,
     coboundary,
     codifferential,
     clifford_mul,
+    constraint_minus_from_plus,
+    constraint_plus_from_minus,
     cup,
     decomposition,
     dirac_kahler_apply,
     dk_system_residual,
+    eigen_relation_residual,
     form_to_records,
     forward_diff,
     hodge_star,
     hodge_star_inverse,
     inner_product,
+    joyce_apply_rhs,
+    joyce_residual_form,
     joyce_system_residual,
     laplacian,
     pair,
@@ -37,6 +44,7 @@ from dkjoyce import (
 from dkjoyce import forms
 from dkjoyce.complex4 import AXES, tau_all
 from dkjoyce.forms import MAX_LOAD_SITES, STAR_SIGN
+from dkjoyce.planewave import FAMILY_SIGN
 
 from helpers import (
     AXIS_SETS,
@@ -427,6 +435,9 @@ def test_get_needs_four_components(site):
 # properties of the box representation on random sparse supports
 
 MASS = {True: Fraction(3, 2), False: 1.5}
+# dyadic, so 1j * p_mu is exact as a complex too
+MOMENTUM = {True: (Fraction(1, 4), Fraction(1, 2), Fraction(-1, 4), 2),
+            False: (0.25, 0.5, -0.25, 2.0)}
 
 
 def _scalars(exact):
@@ -498,6 +509,37 @@ def test_box_forms_decomposition_and_system(case):
         scale = max(pipeline.max_norm(), 1.0)
         assert (table - pipeline).max_norm() <= 1e-10 * scale
     _check_outputs(exact, dec, table, pipeline, clifford_mul(O, O))
+    # each fused operator equals the composition of its public parts
+    m, p = MASS[exact], MOMENTUM[exact]
+    Oev = InhomogeneousForm([w if w.degree % 2 == 0 else DiscreteForm.zero(
+        w.degree) for w in O.parts])
+    composed = dirac_kahler_apply(Oev) - joyce_apply_rhs(Oev, m)
+    fused = joyce_residual_form(Oev, m)
+    _agree(exact, fused, composed)
+    joyce = joyce_system_residual(Oev, m)
+    for r in (1, 3):
+        _agree(exact, joyce.part(r), composed.part(r))
+    for which, constraint in (("plus", constraint_minus_from_plus),
+                              ("minus", constraint_plus_from_minus)):
+        s, q = FAMILY_SIGN[which], m - FAMILY_SIGN[which] * p[0]
+        maps = [blade_lmul((0, j), O, s * p[j] / q) for j in (1, 2, 3)]
+        _agree(exact, constraint(O, p, m), maps[0] + maps[1] + maps[2])
+    eigen = coboundary(O) + codifferential(O) - sum(
+        (blade_lmul((mu,), O, 1j * p[mu]) for mu in AXES),
+        InhomogeneousForm.zero())
+    win = Window((5, 5, 5, 5))
+    got, want = (eigen_relation_residual(O, p, win),
+                 ResidualReport.from_form(eigen, win).interior_max)
+    assert got == want if exact else abs(got - want) <= 1e-12 * want
+    _check_outputs(exact, composed, fused, joyce, eigen, constraint(O, p, m))
+
+
+def _agree(exact, got, want):
+    """``got == want`` exactly, or for floats to 1e-12 relative."""
+    if exact:
+        assert got == want
+    else:
+        assert (got - want).max_norm() <= 1e-12 * want.max_norm()
 
 
 @PROPERTY
