@@ -17,6 +17,7 @@ blades, and the Hodge star sign follows from s cup *s = Q e.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -103,11 +104,11 @@ class DiscreteForm:
     def __rmul__(self, scalar) -> "DiscreteForm":
         # scale the stored values only, not the zero padding (0 * inf is NaN,
         # exact zeros are slow), unless complex128 padding stays zero
-        dtype = np.result_type(self.data, np.asarray(scalar))
-        if dtype == complex and np.isfinite(scalar):
+        if isinstance(scalar, (float, complex)) and cmath.isfinite(scalar) \
+                and self.data.dtype == complex:
             return _form(self.degree, self.origin, scalar * self.data,
                          self.slots)
-        data = self.data.astype(dtype)
+        data = self.data.astype(np.result_type(self.data, np.asarray(scalar)))
         nz = data != 0
         data[nz] = scalar * data[nz]
         return _form(self.degree, self.origin, data, self.slots)

@@ -9,12 +9,15 @@ drawn by ``dkjoyce.cli``'s seeded generators) at n = 4, 8 and 12, and its
 time is the best of 20 calls (5 at 12^4) divided by the number of stored
 (nonzero) coefficients of its form arguments.  ``psi_form`` and
 ``build_phi`` take no form, so they are divided by the coefficients of the
-form they return.  The script has no options; its output is a Markdown
-table.
+form they return.  Each operator and window is timed in a fresh process,
+one at a time: in one process the allocator state left by the operators
+timed before moved unchanged code by up to 60 % at 12^4.  The script has
+no options; its output is a Markdown table.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import platform
 import sys
@@ -73,7 +76,10 @@ def stored(form) -> int:
     return sum(int(np.count_nonzero(w.data)) for w in parts)
 
 
-def ns_per_coeff(call, forms, repeats: int) -> float:
+def ns_per_coeff(n: int, index: int, repeats: int) -> float:
+    """Best time of operator ``index`` on an n^4 window over ``repeats``
+    calls, per stored coefficient."""
+    _name, call, forms = operators(n)[index]
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -84,18 +90,21 @@ def ns_per_coeff(call, forms, repeats: int) -> float:
 
 
 def main() -> int:
-    columns = [{name: ns_per_coeff(call, forms, repeats)
-                for name, call, forms in operators(n)}
-               for n, repeats in WINDOWS]
+    names = [name for name, _call, _forms in operators(1)]
+    with multiprocessing.get_context("spawn").Pool(
+            1, maxtasksperchild=1) as pool:
+        columns = [dict(zip(names, pool.starmap(
+            ns_per_coeff, [(n, i, repeats) for i in range(len(names))],
+            chunksize=1))) for n, repeats in WINDOWS]
     print(f"ns per stored input coefficient, best of "
           f"{'/'.join(str(r) for _n, r in WINDOWS)} (seed {SEED}; Python "
           f"{platform.python_version()}, numpy {np.__version__}, "
           f"{os.cpu_count()} CPUs)\n")
     print("| operator | " + " | ".join(f"{n}⁴" for n, _r in WINDOWS) + " |")
     print("|---|" + "---:|" * len(WINDOWS))
-    for name in columns[0]:
+    for name in names:
         print(f"| `{name}` | "
-              + " | ".join(f"{c[name]:.0f}" for c in columns) + " |")
+              + " | ".join(f"{c[name]:.1f}" for c in columns) + " |")
     return 0
 
 
