@@ -179,18 +179,45 @@ def random_even(rng, win: Window) -> InhomogeneousForm:
 # individual checks; each yields one non-negative gap per case for
 # identity_check to reduce: a norm, or an exact table check's failures
 
+def _side_by_side(cases, gap: int) -> DiscreteForm:
+    """``cases``, forms on one box, along the last axis ``gap`` sites apart."""
+    pad = np.zeros(cases[0].data.shape[:-1] + (gap,), cases[0].data.dtype)
+    data = np.concatenate([a for w in cases for a in (pad, w.data)][1:], -1)
+    return _form(cases[0].degree, cases[0].origin, data,
+                 tuple(sorted(set().union(*(w.slots for w in cases)))))
+
+
+def _case_gaps(cases, reach, residual, gap=None):
+    """The gap of each of ``cases``, tuples of forms on one box, from one
+    ``residual`` of them side by side, ``gap`` zero sites apart: the largest
+    |coefficient| on its slab, its box widened by ``reach`` = (below, above)
+    sites along the last axis, one down per d and one up per delta.  At the
+    default gap, ``sum(reach)``, slabs tile and each gap is the case's own."""
+    below, above = reach
+    gap = below + above if gap is None else gap
+    start, n = cases[0][0].origin[3], cases[0][0].data.shape[-1]
+    res = residual(*(_side_by_side(ws, gap) for ws in zip(*cases)))
+    # the largest |coefficient| at each site of the last axis, NaN if any is
+    top = np.abs(res.data[list(res.slots)]).max((0, 1, 2, 3), initial=0.0)
+    for i in range(len(cases)):
+        lo = max(start + i * (n + gap) - below - res.origin[3], 0)
+        yield float(top[lo:lo + n + below + above].max(initial=0.0))
+
+
 def check_nilpotency_d(cfg, rng):
     win = Window(cfg.window)
     for degree in range(4):
-        for w in _random_forms(rng, [degree] * 5, win):
-            yield coboundary(coboundary(w)).max_norm()
+        yield from _case_gaps(
+            list(zip(_random_forms(rng, [degree] * 5, win))), (2, 0),
+            lambda w: coboundary(coboundary(w)))
 
 
 def check_nilpotency_delta(cfg, rng):
     win = Window(cfg.window)
     for degree in range(1, 5):
-        for w in _random_forms(rng, [degree] * 5, win):
-            yield codifferential(codifferential(w)).max_norm()
+        yield from _case_gaps(
+            list(zip(_random_forms(rng, [degree] * 5, win))), (0, 2),
+            lambda w: codifferential(codifferential(w)))
 
 
 def check_pairing_duality(cfg, rng):
@@ -206,12 +233,10 @@ def check_leibniz(cfg, rng):
     win = Window(cfg.window)
     for r in range(5):
         for q in range(5 - r):
-            for _ in range(3):
-                u, v = _random_forms(rng, (r, q), win)
-                lhs = coboundary(cup(u, v))
-                rhs = cup(coboundary(u), v) \
-                    + (-1) ** r * cup(u, coboundary(v))
-                yield (lhs - rhs).max_norm()
+            cases = [_random_forms(rng, (r, q), win) for _ in range(3)]
+            yield from _case_gaps(cases, (1, 0), lambda u, v: coboundary(
+                cup(u, v)) - (cup(coboundary(u), v)
+                              + (-1) ** r * cup(u, coboundary(v))))
 
 
 def check_star_defining(cfg, rng):

@@ -21,6 +21,7 @@ import cmath
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
@@ -102,6 +103,9 @@ class DiscreteForm:
         return _sum(self, other, -1)
 
     def __rmul__(self, scalar) -> "DiscreteForm":
+        if self.data.dtype == complex and not isinstance(scalar, _NATIVE) \
+                and isinstance(scalar, numbers.Complex):  # such as a Fraction
+            scalar = complex(scalar)  # so that the data stay native
         # scale the stored values only, not the zero padding (0 * inf is NaN,
         # exact zeros are slow), unless complex128 padding stays zero
         if isinstance(scalar, (float, complex)) and cmath.isfinite(scalar) \
@@ -212,12 +216,6 @@ def _shifted(origin, dirs, step: int) -> MultiIndex:
     return tuple(o + step if mu in dirs else o for mu, o in enumerate(origin))
 
 
-def _slices(lo, hi, origin) -> tuple:
-    """Index slices of sites lo..hi-1 in an array starting at ``origin``."""
-    return tuple(map(slice, map(operator.sub, lo, origin),
-                     map(operator.sub, hi, origin)))
-
-
 def _accumulate(degree: int, pieces) -> DiscreteForm:
     """Sum of ``(blade, sign, origin, *factors)`` slices over their hull; a
     slice is the product of its factor arrays, formed only when added.  A
@@ -225,9 +223,10 @@ def _accumulate(degree: int, pieces) -> DiscreteForm:
     pieces = [p for p in pieces if p[3].size]
     if not pieces:
         return _ZERO[degree]
-    ends = [tuple(map(operator.add, p[2], p[3].shape)) for p in pieces]
+    # placements in Python ints, which cannot wrap at the 64-bit edge
     lo = tuple(map(min, zip(*(p[2] for p in pieces))))
-    hi = tuple(map(max, zip(*ends)))
+    hi = tuple(map(max, zip(*(map(operator.add, p[2], p[3].shape)
+                              for p in pieces))))
     shape = tuple(map(operator.sub, hi, lo))
     if (box := math.prod(shape)) > MAX_LOAD_SITES \
             and box > sum(p[3].size for p in pieces):
@@ -236,15 +235,18 @@ def _accumulate(degree: int, pieces) -> DiscreteForm:
     dtype = object if any(a.dtype.hasobject for p in pieces for a in p[3:]) \
         else complex
     out = np.zeros((len(GRADE_BLADES[degree]),) + shape, dtype)
-    for (blade, sign, origin, *factors), end in zip(pieces, ends):
-        view = out[(BLADE_SLOT[blade],) + _slices(origin, end, lo)]
-        a = functools.reduce(operator.mul, factors)
+    slots = [BLADE_SLOT[p[0]] for p in pieces]
+    l0, l1, l2, l3 = lo
+    for (_, sign, (o0, o1, o2, o3), a, *more), s in zip(pieces, slots):
+        a = functools.reduce(operator.mul, more, a) if more else a
+        n0, n1, n2, n3 = a.shape
+        o0, o1, o2, o3 = o0 - l0, o1 - l1, o2 - l2, o3 - l3
+        view = out[s, o0:o0 + n0, o1:o1 + n1, o2:o2 + n2, o3:o3 + n3]
         if sign > 0:
             view += a
         else:
             view -= a
-    return _form(degree, lo, out,
-                 tuple(sorted({BLADE_SLOT[p[0]] for p in pieces})))
+    return _form(degree, lo, out, tuple(sorted(set(slots))))
 
 
 def _overlap(u: DiscreteForm, v: DiscreteForm, vo=None):
@@ -256,8 +258,9 @@ def _overlap(u: DiscreteForm, v: DiscreteForm, vo=None):
                    map(operator.add, vo, vn)))
     if any(map(operator.le, hi, lo)):
         return None
-    return (lo, u.data[(slice(None),) + _slices(lo, hi, u.origin)],
-            v.data[(slice(None),) + _slices(lo, hi, vo)])
+    return (lo, *(w.data[(slice(None),) + tuple(map(slice, map(
+        operator.sub, lo, o), map(operator.sub, hi, o)))]
+        for w, o in ((u, u.origin), (v, vo))))
 
 
 class InhomogeneousForm:

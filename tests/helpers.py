@@ -2,7 +2,8 @@
 closed-form Joyce residual of the plane-wave families, the transcribed
 amplitude system and family patterns, and the one-coefficient-at-a-time
 oracles of the box paths: the row-by-row record loader, the dict chains and
-the dict table systems."""
+the dict table systems, and the one-case-at-a-time loops of the identity
+checks that run their cases side by side."""
 
 import itertools
 import math
@@ -15,7 +16,11 @@ from dkjoyce import (
     InhomogeneousForm,
     Window,
     blade_product,
+    coboundary,
+    codifferential,
+    cup,
 )
+from dkjoyce.cli import _random_forms
 from dkjoyce.complex4 import AXES
 from dkjoyce.dirac_joyce import (DK_SYSTEM, JOYCE_RHS, JOYCE_TARGETS,
                                  _require_even, check_mass)
@@ -410,3 +415,40 @@ def joyce_system_residual_dict(Oev, m):
     lhs = 1j * InhomogeneousForm.from_coeffs(
         push_diffs_dict(Oev, JOYCE_TARGETS))
     return lhs - m * InhomogeneousForm.from_coeffs(rhs)
+
+
+# ---------------------------------------------------------------------------
+# the identity checks that lay their cases side by side, one case at a time
+
+def nilpotency_d_per_case(cfg, rng):
+    win = Window(cfg.window)
+    for degree in range(4):
+        for w in _random_forms(rng, [degree] * 5, win):
+            yield coboundary(coboundary(w)).max_norm()
+
+
+def nilpotency_delta_per_case(cfg, rng):
+    win = Window(cfg.window)
+    for degree in range(1, 5):
+        for w in _random_forms(rng, [degree] * 5, win):
+            yield codifferential(codifferential(w)).max_norm()
+
+
+def leibniz_per_case(cfg, rng):
+    win = Window(cfg.window)
+    for r in range(5):
+        for q in range(5 - r):
+            for _ in range(3):
+                u, v = _random_forms(rng, (r, q), win)
+                lhs = coboundary(cup(u, v))
+                rhs = cup(coboundary(u), v) \
+                    + (-1) ** r * cup(u, coboundary(v))
+                yield (lhs - rhs).max_norm()
+
+
+#: per check, its per-case loop and the number of cases it runs side by side
+PER_CASE_CHECKS = {
+    "sec2-nilpotency-d": (nilpotency_d_per_case, 5),
+    "sec2-nilpotency-delta": (nilpotency_delta_per_case, 5),
+    "eq2.15-leibniz": (leibniz_per_case, 3),
+}

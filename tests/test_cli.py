@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dkjoyce import DiscreteForm, InhomogeneousForm, Window
+from dkjoyce import DiscreteForm, InhomogeneousForm, Window, cli, forms
 from dkjoyce.cli import (
     DEFAULT_TOL,
     IDENTITY_CHECKS,
@@ -27,9 +27,11 @@ from dkjoyce.cli import (
 )
 from dkjoyce.complex4 import (_BLADE_TABLE, ALL_BLADES, GRADE_BLADES,
                               blade_product)
-from dkjoyce.forms import _assemble
+from dkjoyce.forms import _assemble, _form
 from dkjoyce.dirac_joyce import DK_SYSTEM, JOYCE_RHS
 from dkjoyce.planewave import EvenAmplitudes
+
+from helpers import PER_CASE_CHECKS
 
 
 def run(argv):
@@ -446,3 +448,67 @@ def test_negated_table_entry_fails_both_kinds_of_check(monkeypatch):
     assert failed["sec3-clifford-associativity"]["value"] == 58.0
     for c in failed.values():
         assert c["value"] > c["threshold"]
+
+
+# ---------------------------------------------------------------------------
+# checks that lay their cases side by side report each case's own gap
+
+def _flip_last_axis_routes(monkeypatch):
+    # a wrong d and delta sign along the axis the cases lie along, so that
+    # the gaps are nonzero and differ from case to case
+    for routes, dirs in ((forms._RAISE, (0,)), (forms._LOWER, (1, 3))):
+        monkeypatch.setitem(routes, dirs, [(mu, -s if mu == 3 else s, nd)
+                                           for mu, s, nd in routes[dirs]])
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+@pytest.mark.parametrize("window", [(3, 3, 3, 3), (4, 4, 4, 4), (5, 4, 3, 6)])
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_side_by_side_checks_equal_their_per_case_loops(monkeypatch, seed,
+                                                        window, flipped):
+    if flipped:
+        _flip_last_axis_routes(monkeypatch)
+    cfg = SuiteConfig(suite="identities", window=window, seed=seed)
+    for name, (per_case, _cases) in PER_CASE_CHECKS.items():
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = list(per_case(cfg, slow))
+        assert list(IDENTITY_CHECKS[name][0](cfg, fast)) == want
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert any(want) == flipped
+
+
+def _nan(w):
+    return _form(w.degree, w.origin, np.full_like(w.data, np.nan), w.slots)
+
+
+@pytest.mark.parametrize("window", [(3, 3, 3, 3), (5, 4, 3, 6)])
+@pytest.mark.parametrize("name", sorted(PER_CASE_CHECKS))
+def test_a_nan_case_changes_only_its_own_gap(monkeypatch, window, name):
+    # the middle case of each group is all NaN: with the cases the reach's
+    # sum apart only its gaps may change; one site closer, a slab overlaps
+    # its neighbour's and a NaN crosses over
+    cfg = SuiteConfig(suite="identities", window=window)
+    check, cases = IDENTITY_CHECKS[name][0], PER_CASE_CHECKS[name][1]
+    clean = list(check(cfg, np.random.default_rng(0)))
+    middle = [i % cases == cases // 2 for i in range(len(clean))]
+    draw, calls = cli._random_forms, itertools.count()
+
+    def poisoned(rng, degrees, win):
+        forms = draw(rng, degrees, win)
+        if len(forms) == 5:  # the five cases of one degree
+            return forms[:2] + [_nan(forms[2])] + forms[3:]
+        return [_nan(w) for w in forms] if next(calls) % 3 == 1 else forms
+
+    def others(gaps):
+        return [g for g, m in zip(gaps, middle) if not m]
+
+    monkeypatch.setattr(cli, "_random_forms", poisoned)
+    gaps = list(check(cfg, np.random.default_rng(0)))
+    assert others(gaps) == others(clean)
+    assert any(np.isnan(g) for g, m in zip(gaps, middle) if m)
+
+    case_gaps, calls = cli._case_gaps, itertools.count()
+    monkeypatch.setattr(cli, "_case_gaps", lambda cases, reach, residual:
+                        case_gaps(cases, reach, residual, sum(reach) - 1))
+    gaps = list(check(cfg, np.random.default_rng(0)))
+    assert any(np.isnan(others(gaps)))

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dkjoyce import (
@@ -171,3 +173,18 @@ def test_residual_report_propagates_nan():
     assert math.isnan(rep.interior_max) and math.isnan(rep.grade_max[2])
     assert rep.fringe_max == 2.0 and rep.grade_max[0] == 2.0
     assert not rep.is_zero()
+
+
+def test_a_fraction_mass_keeps_complex_forms_native():
+    # a Fraction times complex128 data is the complex it converts to, not an
+    # object array of Python complex
+    rng = rng_for(17)
+    win = Window((3, 4, 3, 3))
+    O, Oev = random_inhomogeneous(rng, win), random_even(rng, win)
+    for got, want in ((Fraction(3, 2) * O, 1.5 * O),
+                      (joyce_apply_rhs(Oev, Fraction(3, 2)),
+                       joyce_apply_rhs(Oev, 1.5))):
+        for p, q in zip(got.parts, want.parts):
+            assert p.data.dtype == np.complex128
+            assert (p.data == q.data).all() and p.origin == q.origin
+    assert dk_residual(O, Fraction(3, 2), win) == dk_residual(O, 1.5, win)

@@ -43,7 +43,7 @@ from dkjoyce import (
 )
 from dkjoyce import forms
 from dkjoyce.complex4 import AXES, tau_all
-from dkjoyce.forms import MAX_LOAD_SITES, STAR_SIGN
+from dkjoyce.forms import MAX_LOAD_SITES, STAR_SIGN, _form
 from dkjoyce.planewave import FAMILY_SIGN
 
 from helpers import (
@@ -358,6 +358,24 @@ def test_site_outside_int64_is_a_value_error(x):
         DiscreteForm(0, {((x, 0, 0, 0), ()): 1})
     with pytest.raises(ValueError, match="64-bit"):
         InhomogeneousForm.from_coeffs({((0, x, 0, 0), (1,)): 1})
+
+
+def test_sums_at_the_int64_edge_do_not_wrap():
+    # placements are Python ints: a form at the largest int64 origin
+    # reaches past it, as at the origin, and a sum spanning the whole int64
+    # range hits the box bound
+    data = np.arange(1, 65).reshape(4, 2, 2, 2, 2).astype(complex)
+    edge, base = (_form(1, o, data, (0, 1, 2, 3))
+                  for o in ((2 ** 63 - 1, 0, 0, 0), (0, 0, 0, 0)))
+    for got, want in ((codifferential(edge), codifferential(base)),
+                      (edge + edge, base + base)):
+        assert got.origin == (2 ** 63 - 1, 0, 0, 0) and want.origin == (0,) * 4
+        assert got.data.shape == want.data.shape
+        assert (got.data == want.data).all() and got.slots == want.slots
+    assert codifferential(edge).data.shape == (1, 3, 3, 3, 3)
+    low = _form(1, (-2 ** 63, 0, 0, 0), data, (0, 1, 2, 3))
+    with pytest.raises(ValueError, match=f"more than {MAX_LOAD_SITES}"):
+        edge + low
 
 
 def test_far_apart_sites_hit_the_box_bound():
