@@ -494,10 +494,10 @@ def test_a_nan_case_changes_only_its_own_gap(monkeypatch, window, name):
     draw, calls = cli._random_forms, itertools.count()
 
     def poisoned(rng, degrees, win):
-        forms = draw(rng, degrees, win)
-        if len(forms) == 5:  # the five cases of one degree
-            return forms[:2] + [_nan(forms[2])] + forms[3:]
-        return [_nan(w) for w in forms] if next(calls) % 3 == 1 else forms
+        drawn = draw(rng, degrees, win)
+        if len(drawn) == 5:  # the five cases of one degree
+            return drawn[:2] + [_nan(drawn[2])] + drawn[3:]
+        return [_nan(w) for w in drawn] if next(calls) % 3 == 1 else drawn
 
     def others(gaps):
         return [g for g, m in zip(gaps, middle) if not m]
