@@ -39,7 +39,6 @@ from .forms import (
     DiscreteForm,
     InhomogeneousForm,
     Window,
-    _ZERO,
     _assemble,
     _form,
     coboundary,
@@ -106,6 +105,8 @@ class SuiteConfig:
                 isinstance(x, int) and x >= 3 for x in self.window):
             raise ConfigInvalid(f"window extents must be four integers >= 3, "
                                 f"got {self.window}")
+        if type(self.seed) is not int or self.seed < 0:  # bool is no seed
+            raise ConfigInvalid(f"seed must be an int >= 0, got {self.seed!r}")
         if not 0 < self.tol < math.inf:
             raise ConfigInvalid(f"tol must be finite and > 0, got {self.tol}")
         if not all(map(math.isfinite, self.grid)):
@@ -133,32 +134,18 @@ class SuiteConfig:
 # ---------------------------------------------------------------------------
 # random inputs
 
-def _random_boxes(rng, groups, win: Window, origin=(1, 1, 1, 1)) -> list:
-    """One form per group of blades (whole grades in grade order, such as
-    ``GRADE_BLADES[r]`` or ``ALL_BLADES``), with complex values of integer
-    parts in -9..9 on the sites ``origin`` .. ``origin + win.n - 1``, all
-    from one draw in the order of one scalar draw per part: group by group,
-    site by site in ``Window.sites()`` order, blade by blade, real before
-    imaginary."""
-    size = sum(map(len, groups)) * math.prod(win.n)
-    vals = rng.integers(-9, 10, size=(size, 2)).astype(float).view(complex)
-    forms = []
-    for blades in groups:
-        a, vals = np.split(vals, [len(blades) * math.prod(win.n)])
-        a = np.moveaxis(a.reshape(tuple(win.n) + (len(blades),)), -1, 0)
-        parts = list(_ZERO)
-        for r in sorted(set(map(len, blades))):
-            rows = [len(b) == r for b in blades]
-            slots = tuple(range(sum(rows)))
-            parts[r] = _form(r, tuple(origin), a[rows], slots)
-        forms.append(InhomogeneousForm(parts))
-    return forms
-
-
 def _random_forms(rng, degrees, win: Window, origin=(1, 1, 1, 1)) -> list:
-    """:func:`_random_boxes` with the blades of one degree per form."""
-    return [A.part(r) for r, A in zip(degrees, _random_boxes(
-        rng, [GRADE_BLADES[r] for r in degrees], win, origin))]
+    """One form per degree, with complex values of integer parts in -9..9 on
+    the sites ``origin`` .. ``origin + win.n - 1``, all from one draw in the
+    order of one scalar draw per part: form by form, site by site in
+    ``Window.sites()`` order, blade by blade, real before imaginary."""
+    n, blades = math.prod(win.n), [len(GRADE_BLADES[r]) for r in degrees]
+    vals = rng.integers(-9, 10, size=(n * sum(blades), 2)).astype(float)
+    chunks = np.split(vals.view(complex), np.cumsum(blades)[:-1] * n)
+    # copied, so that each blade's slice of the data is contiguous
+    return [_form(r, tuple(origin), np.moveaxis(
+        a.reshape(tuple(win.n) + (b,)), -1, 0).copy(), tuple(range(b)))
+        for r, b, a in zip(degrees, blades, chunks)]
 
 
 def random_form(rng, degree: int, win: Window) -> DiscreteForm:
@@ -176,48 +163,35 @@ def random_even(rng, win: Window) -> InhomogeneousForm:
 
 
 # ---------------------------------------------------------------------------
-# individual checks; each yields one non-negative gap per case for
-# identity_check to reduce: a norm, or an exact table check's failures
+# individual checks; each yields non-negative gaps for identity_check to
+# reduce: norms, or an exact table check's failures
 
-def _side_by_side(cases, gap: int) -> DiscreteForm:
-    """``cases``, forms on one box, along the last axis ``gap`` sites apart."""
-    pad = np.zeros(cases[0].data.shape[:-1] + (gap,), cases[0].data.dtype)
-    data = np.concatenate([a for w in cases for a in (pad, w.data)][1:], -1)
-    return _form(cases[0].degree, cases[0].origin, data,
-                 tuple(sorted(set().union(*(w.slots for w in cases)))))
-
-
-def _case_gaps(cases, reach, residual, gap=None):
-    """The gap of each of ``cases``, tuples of forms on one box, from one
-    ``residual`` of them side by side, ``gap`` zero sites apart: the largest
-    |coefficient| on its slab, its box widened by ``reach`` = (below, above)
-    sites along the last axis, one down per d and one up per delta.  At the
-    default gap, ``sum(reach)``, slabs tile and each gap is the case's own."""
-    below, above = reach
-    gap = below + above if gap is None else gap
-    start, n = cases[0][0].origin[3], cases[0][0].data.shape[-1]
-    res = residual(*(_side_by_side(ws, gap) for ws in zip(*cases)))
-    # the largest |coefficient| at each site of the last axis, NaN if any is
-    top = np.abs(res.data[list(res.slots)]).max((0, 1, 2, 3), initial=0.0)
-    for i in range(len(cases)):
-        lo = max(start + i * (n + gap) - below - res.origin[3], 0)
-        yield float(top[lo:lo + n + below + above].max(initial=0.0))
+def _side_by_side(gap: int, residual, *inputs) -> float:
+    """The largest |coefficient| of ``residual`` of ``inputs``, each a list
+    of one form per case on one box, with the cases laid along the last axis
+    ``gap`` zero sites apart.  A ``gap`` of the residual's reach past its
+    inputs' box, one site per d or delta, keeps the cases from meeting."""
+    def join(cases):
+        w = cases[0]
+        pad = np.zeros(w.data.shape[:-1] + (gap,), w.data.dtype)
+        data = np.concatenate([a for c in cases for a in (pad, c.data)][1:], -1)
+        return _form(w.degree, w.origin, data,
+                     tuple(sorted(set().union(*(c.slots for c in cases)))))
+    return residual(*map(join, inputs)).max_norm()
 
 
 def check_nilpotency_d(cfg, rng):
     win = Window(cfg.window)
     for degree in range(4):
-        yield from _case_gaps(
-            list(zip(_random_forms(rng, [degree] * 5, win))), (2, 0),
-            lambda w: coboundary(coboundary(w)))
+        yield _side_by_side(2, lambda w: coboundary(coboundary(w)),
+                            _random_forms(rng, [degree] * 5, win))
 
 
 def check_nilpotency_delta(cfg, rng):
     win = Window(cfg.window)
     for degree in range(1, 5):
-        yield from _case_gaps(
-            list(zip(_random_forms(rng, [degree] * 5, win))), (0, 2),
-            lambda w: codifferential(codifferential(w)))
+        yield _side_by_side(2, lambda w: codifferential(codifferential(w)),
+                            _random_forms(rng, [degree] * 5, win))
 
 
 def check_pairing_duality(cfg, rng):
@@ -234,9 +208,9 @@ def check_leibniz(cfg, rng):
     for r in range(5):
         for q in range(5 - r):
             cases = [_random_forms(rng, (r, q), win) for _ in range(3)]
-            yield from _case_gaps(cases, (1, 0), lambda u, v: coboundary(
-                cup(u, v)) - (cup(coboundary(u), v)
-                              + (-1) ** r * cup(u, coboundary(v))))
+            yield _side_by_side(1, lambda u, v: coboundary(cup(u, v)) - (
+                cup(coboundary(u), v) + (-1) ** r * cup(u, coboundary(v))),
+                *zip(*cases))
 
 
 def check_star_defining(cfg, rng):
@@ -337,7 +311,7 @@ def check_clifford_associativity(cfg, rng):
 def check_clifford_unit(cfg, rng):
     win = Window((3, 3, 3, 3))
     x = unit_form((), win)
-    A, = _random_boxes(rng, [ALL_BLADES], win)
+    A = InhomogeneousForm(_random_forms(rng, range(5), win))
     yield (clifford_mul(x, A) - A).max_norm()
     yield (clifford_mul(A, x) - A).max_norm()
 
@@ -426,7 +400,7 @@ def planewave_checks(cfg, rng) -> List[dict]:
     gap = dispersion_gap(p, m)
     M = amplitude_matrix(p, m)
     sv = np.linalg.svd(M, compute_uv=False)
-    nullity = int(np.sum(sv < 1e-8 * max(sv[0], 1.0)))
+    nullity = int(np.sum(sv < 1e-8 * sv[0]))
     want = 4 if abs(gap) / dispersion_scale(p, m) <= cfg.tol else 0
     checks.append(_check_record(
         "eq4.17-amplitude-nullity", float(nullity), None,
@@ -641,22 +615,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification harness for the discrete lattice calculus.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="run a verification suite")
+    # the defaults of the options that set a SuiteConfig field are its own
+    run = sub.add_parser("run", help="run a verification suite",
+                         argument_default=argparse.SUPPRESS)
     run.add_argument("--suite", required=True, choices=SUITES)
-    run.add_argument("--window", type=_values(int, 4), default="4,4,4,4",
+    run.add_argument("--window", type=_values(int, 4),
                      help="window extents n0,n1,n2,n3 (each >= 3)")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--p", type=_values(float, 4), default=None,
+    run.add_argument("--seed", type=int)
+    run.add_argument("--p", type=_values(float, 4),
                      help="full momentum p0,p1,p2,p3")
-    run.add_argument("--spatial", type=_values(float, 3), default=None,
+    run.add_argument("--spatial", type=_values(float, 3),
                      help="spatial momentum p1,p2,p3 (p0 solved from --branch)")
-    run.add_argument("--branch", default="+", choices=["+", "-"])
-    run.add_argument("--mass", type=float, default=1.0)
-    run.add_argument("--amplitudes", type=_amplitudes_file, default=None,
+    run.add_argument("--branch", choices=["+", "-"])
+    run.add_argument("--mass", type=float)
+    run.add_argument("--amplitudes", type=_amplitudes_file,
                      help="JSON file of even amplitudes (alpha0..alpha4)")
-    run.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                     help="tolerance (default 1e-10)")
-    run.add_argument("--grid", type=_values(float), default="0,0.5",
+    run.add_argument("--tol", type=float, help="tolerance (default 1e-10)")
+    run.add_argument("--grid", type=_values(float),
                      help="per-axis values of the dispersion-scan grid")
     run.add_argument("--perturb", action="store_true",
                      help="add a perturbed-energy residual column to the scan")
@@ -669,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> SuiteConfig:
     return SuiteConfig(**{f.name: getattr(args, f.name)
-                          for f in fields(SuiteConfig)})
+                          for f in fields(SuiteConfig) if f.name in args})
 
 
 def main(argv=None) -> int:

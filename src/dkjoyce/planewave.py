@@ -21,6 +21,7 @@ as an oracle that the derived system must equal exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass, fields
 from typing import Sequence, Tuple
 
@@ -263,10 +264,10 @@ FAMILY_LABELS = {
 
 
 def _denominator(which: str, p: Momentum, m: float) -> float:
-    """The family's q = m - s p0, which must stay away from zero."""
+    """The family's q = m - s p0, kept away from zero relative to m, |p0|."""
     check_mass(m)
     q = m - FAMILY_SIGN[which] * p[0]
-    if abs(q) <= DEGENERATE_TOL:
+    if abs(q) <= DEGENERATE_TOL * max(m, abs(p[0])):
         raise DegenerateDenominator(
             f"m - s p0 vanishes for the {which} family; use the mirror family")
     return q
@@ -377,18 +378,21 @@ class PlaneWaveSpec:
 
     def __post_init__(self):
         """The one value check of a wave, however the spec is made: m > 0
-        and p0..p3 finite, four int window extents over at most
-        ``MAX_LOAD_SITES`` sites, a known family, and waves that fit: the
-        largest wave modulus on the window times s^2, s = max(1, m, |p_mu|),
-        times max(1, |alpha|) times ``WAVE_ROOM`` must be finite.  s^2 is
-        room for the pattern coefficients (of size s) and the products the
-        checks form, ``WAVE_ROOM`` for the sums and for the amplitudes the
-        CLI draws when none are given (|alpha| < 13)."""
+        with m^2 a normal float (p0 is solved from it), p0..p3 finite, four
+        int window extents over at most ``MAX_LOAD_SITES`` sites, a known
+        family, and waves that fit: the largest wave modulus on the window
+        times s^2, s = max(1, m, |p_mu|), times max(1, |alpha|) times
+        ``WAVE_ROOM`` must be finite.  s^2 is room for the pattern
+        coefficients (of size s) and the products the checks form,
+        ``WAVE_ROOM`` for the sums and for the amplitudes the CLI draws when
+        none are given (|alpha| < 13)."""
         p, m, window = self.p, self.m, self.window
         if len(p) != 4 or not all(map(_finite_number, (m,) + tuple(p))):
             raise ValueError(f"m and the four p0..p3 must be finite numbers, "
                              f"got m={m!r}, p={p!r}")
         check_mass(m)
+        if m * m < sys.float_info.min:
+            raise ValueError(f"mass {m!r} is too small: its square underflows")
         if len(window) != 4 or not _typed(window, int):
             raise ValueError(f"window needs four int extents, got {window!r}")
         if (sites := math.prod(Window(window).n)) > MAX_LOAD_SITES:

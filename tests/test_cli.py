@@ -14,7 +14,7 @@ from dkjoyce.cli import (
     ConfigInvalid,
     SuiteConfig,
     _random_amplitudes,
-    _random_boxes,
+    _random_forms,
     config_from_args,
     build_parser,
     dispersion_scan,
@@ -51,6 +51,32 @@ def test_config_validation():
         SuiteConfig(suite="planewave", p=(1, 0, 0, 0), spatial=(0, 0, 0))
     cfg = SuiteConfig(suite="planewave", spatial=(0.0, 0.0, 0.0), branch="-")
     assert cfg.momentum() == (-1.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_config_rejects_a_seed_that_is_no_int_from_0(seed):
+    with pytest.raises(ConfigInvalid, match="seed"):
+        SuiteConfig(suite="identities", seed=seed)
+
+
+@pytest.mark.parametrize("branch", ["+", "-"])
+@pytest.mark.parametrize("mass", [1.5e-154, 1e-150, 4e-10, 4e-9, 1e-9])
+def test_a_tiny_mass_at_rest_passes_with_one_family_skipped(mass, branch):
+    # m - s p0 vanishes for the family whose s is the branch's sign only;
+    # the nullity and the mirror family are judged relative to m
+    report = run_suite(SuiteConfig(suite="planewave", spatial=(0.0, 0.0, 0.0),
+                                   branch=branch, mass=mass))
+    assert report["overall"] == "pass"
+    family = "plus" if branch == "+" else "minus"
+    assert [c["name"] for c in report["checks"] if "skipped" in
+            c.get("detail", "")] == [f"prop4.2-family-{family}-residual"]
+
+
+@pytest.mark.parametrize("mass", ["1e-154", "1e-200", "5e-324"])
+def test_a_mass_whose_square_underflows_exits_2(capsys, mass):
+    assert run(["run", "--suite", "planewave", "--mass", mass]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_identities_suite_passes():
@@ -330,24 +356,24 @@ def test_random_inputs_equal_per_value_draws(seed):
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
-@pytest.mark.parametrize("groups", [[ALL_BLADES], list(GRADE_BLADES),
-                                    [GRADE_BLADES[1] + GRADE_BLADES[3]]])
+@pytest.mark.parametrize("groups", [range(5), [2, 2, 2], [3, 1]])
 def test_random_boxes_equal_the_summed_blade_slices(groups):
-    # the forms are built from the drawn array directly; they must equal
-    # the sum of one slice per blade, part by part
+    # each of the degrees ``groups`` gives one form, built from the drawn
+    # array directly; it must equal the sum of one slice per blade
     win, origin = Window((3, 4, 3, 2)), (2, 0, 1, 2)
     fast, slow = np.random.default_rng(7), np.random.default_rng(7)
-    size = sum(map(len, groups)) * math.prod(win.n)
+    size = sum(len(GRADE_BLADES[r]) for r in groups) * math.prod(win.n)
     vals = slow.integers(-9, 10, size=(size, 2)).astype(float).view(complex)
-    for blades, got in zip(groups, _random_boxes(fast, groups, win, origin)):
+    for r, got in zip(groups, _random_forms(fast, groups, win, origin)):
+        blades = GRADE_BLADES[r]
         a, vals = np.split(vals, [len(blades) * math.prod(win.n)])
         a = a.reshape(tuple(win.n) + (len(blades),))
         want = _assemble([(b, 1, origin, a[..., i])
-                          for i, b in enumerate(blades)])
-        for p, q in zip(got.parts, want.parts):
-            assert list(p.items()) == list(q.items())
-            assert (p.slots, p.data.dtype, p.origin) == \
-                (q.slots, q.data.dtype, q.origin)
+                          for i, b in enumerate(blades)]).part(r)
+        assert list(got.items()) == list(want.items())
+        assert (got.slots, got.data.dtype, got.origin) == \
+            (want.slots, want.data.dtype, want.origin)
+        assert got.data.flags.c_contiguous
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
@@ -451,11 +477,11 @@ def test_negated_table_entry_fails_both_kinds_of_check(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# checks that lay their cases side by side report each case's own gap
+# checks that lay their cases side by side report what the cases give alone
 
 def _flip_last_axis_routes(monkeypatch):
     # a wrong d and delta sign along the axis the cases lie along, so that
-    # the gaps are nonzero and differ from case to case
+    # the residuals are nonzero and differ from case to case
     for routes, dirs in ((forms._RAISE, (0,)), (forms._LOWER, (1, 3))):
         monkeypatch.setitem(routes, dirs, [(mu, -s if mu == 3 else s, nd)
                                            for mu, s, nd in routes[dirs]])
@@ -466,49 +492,46 @@ def _flip_last_axis_routes(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 42])
 def test_side_by_side_checks_equal_their_per_case_loops(monkeypatch, seed,
                                                         window, flipped):
+    # one gap per batch of cases: the largest of the batch's own gaps
     if flipped:
         _flip_last_axis_routes(monkeypatch)
     cfg = SuiteConfig(suite="identities", window=window, seed=seed)
-    for name, (per_case, _cases) in PER_CASE_CHECKS.items():
+    for name, (per_case, cases) in PER_CASE_CHECKS.items():
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = list(per_case(cfg, slow))
+        gaps = list(per_case(cfg, slow))
+        want = [max(gaps[i:i + cases]) for i in range(0, len(gaps), cases)]
         assert list(IDENTITY_CHECKS[name][0](cfg, fast)) == want
         assert fast.bit_generator.state == slow.bit_generator.state
         assert any(want) == flipped
 
 
-def _nan(w):
-    return _form(w.degree, w.origin, np.full_like(w.data, np.nan), w.slots)
+def _joined(cases, gap):
+    """``cases``, forms on one box, along the last axis ``gap`` sites apart."""
+    pad = np.zeros(cases[0].data.shape[:-1] + (gap,), cases[0].data.dtype)
+    data = np.concatenate([a for w in cases for a in (pad, w.data)][1:], -1)
+    return _form(cases[0].degree, cases[0].origin, data,
+                 tuple(sorted(set().union(*(w.slots for w in cases)))))
 
 
 @pytest.mark.parametrize("window", [(3, 3, 3, 3), (5, 4, 3, 6)])
 @pytest.mark.parametrize("name", sorted(PER_CASE_CHECKS))
-def test_a_nan_case_changes_only_its_own_gap(monkeypatch, window, name):
-    # the middle case of each group is all NaN: with the cases the reach's
-    # sum apart only its gaps may change; one site closer, a slab overlaps
-    # its neighbour's and a NaN crosses over
+def test_a_joined_residual_is_the_case_residuals_side_by_side(monkeypatch,
+                                                              window, name):
+    # with wrong d and delta signs, the residual of a batch's cases joined
+    # at the check's gap must be the cases' own residuals laid side by side,
+    # no sites apart; one site closer, the cases meet and it is not
+    _flip_last_axis_routes(monkeypatch)
+    side_by_side, nonzero = cli._side_by_side, []
+
+    def compare(gap, residual, *inputs):
+        alone = _joined([residual(*case) for case in zip(*inputs)], 0)
+        assert residual(*(_joined(w, gap) for w in inputs)) == alone
+        nonzero.append(not alone.is_zero())
+        if nonzero[-1]:
+            assert residual(*(_joined(w, gap - 1) for w in inputs)) != alone
+        return side_by_side(gap, residual, *inputs)
+
+    monkeypatch.setattr(cli, "_side_by_side", compare)
     cfg = SuiteConfig(suite="identities", window=window)
-    check, cases = IDENTITY_CHECKS[name][0], PER_CASE_CHECKS[name][1]
-    clean = list(check(cfg, np.random.default_rng(0)))
-    middle = [i % cases == cases // 2 for i in range(len(clean))]
-    draw, calls = cli._random_forms, itertools.count()
-
-    def poisoned(rng, degrees, win):
-        drawn = draw(rng, degrees, win)
-        if len(drawn) == 5:  # the five cases of one degree
-            return drawn[:2] + [_nan(drawn[2])] + drawn[3:]
-        return [_nan(w) for w in drawn] if next(calls) % 3 == 1 else drawn
-
-    def others(gaps):
-        return [g for g, m in zip(gaps, middle) if not m]
-
-    monkeypatch.setattr(cli, "_random_forms", poisoned)
-    gaps = list(check(cfg, np.random.default_rng(0)))
-    assert others(gaps) == others(clean)
-    assert any(np.isnan(g) for g, m in zip(gaps, middle) if m)
-
-    case_gaps, calls = cli._case_gaps, itertools.count()
-    monkeypatch.setattr(cli, "_case_gaps", lambda cases, reach, residual:
-                        case_gaps(cases, reach, residual, sum(reach) - 1))
-    gaps = list(check(cfg, np.random.default_rng(0)))
-    assert any(np.isnan(others(gaps)))
+    list(IDENTITY_CHECKS[name][0](cfg, np.random.default_rng(0)))
+    assert any(nonzero)

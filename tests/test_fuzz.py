@@ -85,7 +85,7 @@ def argvs(draw):
         lambda n: _text(st.floats(-1, 1), n))))
     argv += draw(_mostly(st.sampled_from([[], ["--perturb"]]),
                          st.sampled_from([["--seed", "1.5"], ["--bogus", "1"],
-                                          ["--seed", "x"]])))
+                                          ["--seed", "x"], ["--seed", "-1"]])))
     return argv, draw(AMPLITUDES)
 
 
