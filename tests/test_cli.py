@@ -535,3 +535,63 @@ def test_a_joined_residual_is_the_case_residuals_side_by_side(monkeypatch,
     cfg = SuiteConfig(suite="identities", window=window)
     list(IDENTITY_CHECKS[name][0](cfg, np.random.default_rng(0)))
     assert any(nonzero)
+
+
+def _nan(w):
+    return _form(w.degree, w.origin, np.full_like(w.data, np.nan), w.slots)
+
+
+def _nan_sites(w):
+    """The sites along the last axis at which ``w`` holds a NaN."""
+    nan = np.isnan(w.data[list(w.slots)]).any(axis=(0, 1, 2, 3))
+    return set((w.origin[-1] + np.flatnonzero(nan)).tolist())
+
+
+@pytest.mark.parametrize("window", [(3, 3, 3, 3), (5, 4, 3, 6)])
+@pytest.mark.parametrize("name", sorted(PER_CASE_CHECKS))
+def test_a_nan_case_changes_only_its_own_gap(monkeypatch, window, name):
+    # the middle case of the second batch is all NaN: only that batch's gap
+    # may change; joined at the check's gap, each case's NaNs stay on the
+    # box of its own residual; one site closer, the boxes overlap and a NaN
+    # crosses into a neighbour's
+    _flip_last_axis_routes(monkeypatch)
+    cfg = SuiteConfig(suite="identities", window=window)
+    check = IDENTITY_CHECKS[name][0]
+    clean = list(check(cfg, np.random.default_rng(0)))
+    side_by_side, calls = cli._side_by_side, itertools.count()
+
+    def poisoned(gap, residual, *inputs):
+        if next(calls) != 1:
+            return side_by_side(gap, residual, *inputs)
+        cases, width = len(inputs[0]), inputs[0][0].data.shape[-1]
+
+        def with_nan(c):
+            return [[_nan(w) if i == c else w for i, w in enumerate(ws)]
+                    for ws in inputs]
+
+        def reached(c, apart):
+            return _nan_sites(residual(*(_joined(ws, apart)
+                                         for ws in with_nan(c))))
+
+        def box(c, apart):
+            # the last-axis sites of case c's own residual, laid out as
+            # its inputs are when joined ``apart`` sites apart
+            alone = residual(*(ws[c] for ws in inputs))
+            start = alone.origin[-1] + c * (width + apart)
+            return set(range(start, start + alone.data.shape[-1]))
+
+        for apart, meet in ((gap, False), (gap - 1, True)):
+            crossed = []
+            for c in range(cases):
+                sites = reached(c, apart)
+                assert sites and sites <= box(c, apart)
+                crossed += [not sites.isdisjoint(box(b, apart))
+                            for b in (c - 1, c + 1) if 0 <= b < cases]
+            assert any(crossed) == meet
+        return side_by_side(gap, residual, *with_nan(cases // 2))
+
+    monkeypatch.setattr(cli, "_side_by_side", poisoned)
+    gaps = list(check(cfg, np.random.default_rng(0)))
+    assert np.isnan(gaps[1]) and not np.isnan(clean[1])
+    assert gaps[:1] + gaps[2:] == clean[:1] + clean[2:]
+    assert any(clean[:1] + clean[2:])
