@@ -3,7 +3,7 @@ closed-form Joyce residual of the plane-wave families, the transcribed
 amplitude system and family patterns, and the one-coefficient-at-a-time
 oracles of the box paths: the row-by-row record loader, the dict chains and
 the dict table systems, and the one-case-at-a-time loops of the identity
-checks that run their cases side by side."""
+checks that run their cases in batches."""
 
 import itertools
 import math
@@ -11,17 +11,28 @@ import math
 import numpy as np
 
 from dkjoyce import (
+    ALL_BLADES,
     DiscreteForm,
     GaussianRational,
     InhomogeneousForm,
     Window,
     blade_product,
+    clifford_mul,
     coboundary,
     codifferential,
     cup,
+    decomposition,
+    dirac_kahler_apply,
+    dk_system_residual,
+    forms,
+    hodge_star,
+    joyce_residual_form,
+    joyce_system_residual,
+    star_d_star,
+    unit_form,
 )
 from dkjoyce.cli import _random_forms
-from dkjoyce.complex4 import AXES
+from dkjoyce.complex4 import AXES, tau_all
 from dkjoyce.dirac_joyce import (DK_SYSTEM, JOYCE_RHS, JOYCE_TARGETS,
                                  _require_even, check_mass)
 from dkjoyce.forms import _form, _rows, _scatter
@@ -418,37 +429,108 @@ def joyce_system_residual_dict(Oev, m):
 
 
 # ---------------------------------------------------------------------------
-# the identity checks that lay their cases side by side, one case at a time
+# the identity checks that run their cases in batches, one case at a time:
+# per batch, the list of its cases' own gaps
+
+def _per_impulse(residual, blades):
+    """One batch: the gap of ``residual`` on the unit impulse on each blade
+    of ``blades``, at the site (0, 0, 0, 0)."""
+    return [residual(DiscreteForm.basis((0, 0, 0, 0), b)).max_norm()
+            for b in blades]
+
+
+def _per_mixed_impulse(residual, degrees=range(5)):
+    """Per degree, a batch of impulses, each as an inhomogeneous form."""
+    for degree in degrees:
+        yield _per_impulse(
+            lambda w: residual(InhomogeneousForm.from_form(w)),
+            AXIS_SETS[degree])
+
 
 def nilpotency_d_per_case(cfg, rng):
-    win = Window(cfg.window)
     for degree in range(4):
-        for w in _random_forms(rng, [degree] * 5, win):
-            yield coboundary(coboundary(w)).max_norm()
+        yield _per_impulse(lambda w: coboundary(coboundary(w)),
+                           AXIS_SETS[degree])
 
 
 def nilpotency_delta_per_case(cfg, rng):
-    win = Window(cfg.window)
     for degree in range(1, 5):
-        for w in _random_forms(rng, [degree] * 5, win):
-            yield codifferential(codifferential(w)).max_norm()
+        yield _per_impulse(lambda w: codifferential(codifferential(w)),
+                           AXIS_SETS[degree])
 
 
 def leibniz_per_case(cfg, rng):
     win = Window(cfg.window)
     for r in range(5):
         for q in range(5 - r):
+            batch = []
             for _ in range(3):
                 u, v = _random_forms(rng, (r, q), win)
                 lhs = coboundary(cup(u, v))
                 rhs = cup(coboundary(u), v) \
                     + (-1) ** r * cup(u, coboundary(v))
-                yield (lhs - rhs).max_norm()
+                batch.append((lhs - rhs).max_norm())
+            yield batch
 
 
-#: per check, its per-case loop and the number of cases it runs side by side
+# the inverse star is read from the module at call time, so that a test can
+# swap it here and in the checks at once
+def star_inverse_per_case(cfg, rng):
+    for degree in range(5):
+        yield _per_impulse(
+            lambda w: forms.hodge_star_inverse(hodge_star(w)) - w,
+            AXIS_SETS[degree])
+
+
+def codifferential_star_per_case(cfg, rng):
+    for degree in range(1, 5):
+        yield _per_impulse(lambda w: codifferential(w) - (-1) ** degree
+                           * forms.hodge_star_inverse(
+                               coboundary(hodge_star(w))), AXIS_SETS[degree])
+
+
+def star_d_star_shift_per_case(cfg, rng):
+    def residual(w):
+        want = codifferential(w)
+        return star_d_star(w) - _form(want.degree, tau_all(want.origin),
+                                      want.data, want.slots)
+    for degree in range(1, 5):
+        yield _per_impulse(residual, AXIS_SETS[degree])
+
+
+def clifford_unit_per_case(cfg, rng):
+    x = unit_form((), Window((3, 3, 3, 3)))
+    for left in (True, False):
+        yield [(clifford_mul(*((x, A) if left else (A, x))) - A).max_norm()
+               for A in (InhomogeneousForm.from_form(
+                   DiscreteForm.basis((2, 2, 2, 2), b)) for b in ALL_BLADES)]
+
+
+def decomposition_per_case(cfg, rng):
+    return _per_mixed_impulse(lambda O: decomposition(O) - (
+        coboundary(O) + codifferential(O)))
+
+
+def dk_system_per_case(cfg, rng):
+    return _per_mixed_impulse(lambda O: dk_system_residual(O, cfg.mass) - (
+        dirac_kahler_apply(O) - cfg.mass * O))
+
+
+def joyce_system_per_case(cfg, rng):
+    return _per_mixed_impulse(lambda O: joyce_system_residual(O, cfg.mass)
+                              - joyce_residual_form(O, cfg.mass), (0, 2, 4))
+
+
+#: per check that runs its cases in batches, its one-case-at-a-time loop
 PER_CASE_CHECKS = {
-    "sec2-nilpotency-d": (nilpotency_d_per_case, 5),
-    "sec2-nilpotency-delta": (nilpotency_delta_per_case, 5),
-    "eq2.15-leibniz": (leibniz_per_case, 3),
+    "sec2-nilpotency-d": nilpotency_d_per_case,
+    "sec2-nilpotency-delta": nilpotency_delta_per_case,
+    "eq2.15-leibniz": leibniz_per_case,
+    "sec2-star-inverse": star_inverse_per_case,
+    "eq2.26-codifferential-star": codifferential_star_per_case,
+    "sec2-star-d-star-shift": star_d_star_shift_per_case,
+    "sec3-clifford-unit": clifford_unit_per_case,
+    "eq3.6-decomposition": decomposition_per_case,
+    "eq3.3-dk-system-consistency": dk_system_per_case,
+    "eq3.9-joyce-system-consistency": joyce_system_per_case,
 }

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dkjoyce import DiscreteForm, InhomogeneousForm, Window, cli, forms
+from dkjoyce import DiscreteForm, InhomogeneousForm, Window, cli, cup, forms
 from dkjoyce.cli import (
     DEFAULT_TOL,
     IDENTITY_CHECKS,
@@ -405,18 +405,22 @@ def test_associativity_counts_the_failing_triples(monkeypatch, entry, count):
 
 
 def test_flipped_dk_system_sign_fails_the_check(monkeypatch):
+    # the signs of the row's last two terms, each read from its own blade
     row = DK_SYSTEM[(0, 1)]
-    sign, kind, mu, src = row[2]
-    monkeypatch.setitem(DK_SYSTEM, (0, 1),
-                        row[:2] + [(-sign, kind, mu, src)] + row[3:])
+    monkeypatch.setitem(DK_SYSTEM, (0, 1), row[:2] + [
+        (-sign, kind, mu, src) for sign, kind, mu, src in row[2:]])
     cfg = SuiteConfig(suite="identities")
     rec = identity_check("eq3.3-dk-system-consistency", cfg,
                          np.random.default_rng(0))
     assert rec["status"] == "fail" and rec["value"] > rec["threshold"]
-    # a residual check reports its largest gap, not a sum of its cases
+    # a residual check reports its largest gap, not a sum of its cases: a
+    # batch of impulses gives the largest of the impulses' own gaps
     check, _kind = IDENTITY_CHECKS["eq3.3-dk-system-consistency"]
     gaps = list(check(cfg, np.random.default_rng(0)))
-    assert len(gaps) == 3 and rec["value"] == max(gaps) < sum(gaps)
+    batches = list(PER_CASE_CHECKS["eq3.3-dk-system-consistency"](cfg, None))
+    alone = sum(batches, [])
+    assert gaps == [max(b) for b in batches]
+    assert rec["value"] == max(gaps) == max(alone) < sum(alone)
 
 
 def test_flipped_joyce_rhs_sign_fails_the_check(monkeypatch):
@@ -458,6 +462,15 @@ def test_identities_report_lists_the_sixteen_checks():
         assert c["value"] == 0.0 and c["status"] == "pass"
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_all_reports_the_planewave_suite_s_records(seed):
+    # each suite draws from its own generator, seeded with --seed
+    wave = run_suite(SuiteConfig(suite="planewave", seed=seed))["checks"]
+    names = {c["name"] for c in wave}
+    every = run_suite(SuiteConfig(suite="all", seed=seed))["checks"]
+    assert [c for c in every if c["name"] in names] == wave
+
+
 def test_negated_table_entry_fails_both_kinds_of_check(monkeypatch):
     # one wrong sign in the blade table reaches residual and exact checks
     sign, blade = _BLADE_TABLE[((1,), (2,))]
@@ -476,15 +489,74 @@ def test_negated_table_entry_fails_both_kinds_of_check(monkeypatch):
         assert c["value"] > c["threshold"]
 
 
+@pytest.mark.parametrize("table, key", [
+    ("star", ()), ("star", (1,)), ("star", (0, 2)), ("star", (1, 2, 3)),
+    ("star", (0, 1, 2, 3)), ("blade", ((1,), (0, 2, 3))),
+    ("blade", ((0, 1), (2, 3)))])
+def test_batched_star_checks_count_the_failing_blades(monkeypatch, table,
+                                                      key):
+    # a degree's blades in one form fail as many sites as the blades fail
+    # one product at a time
+    if table == "star":
+        monkeypatch.setitem(forms.STAR_SIGN, key, -forms.STAR_SIGN[key])
+    else:
+        sign, blade = _BLADE_TABLE[key]
+        monkeypatch.setitem(_BLADE_TABLE, key, (-sign, blade))
+    k, vol = (2, 2, 2, 2), (0, 1, 2, 3)
+    alone = {
+        "eq2.16-star-defining": sum(
+            dict(cup(s, forms.hodge_star(s)).items())
+            != {(k, vol): -1 if 0 in b else 1}
+            for b in ALL_BLADES for s in [DiscreteForm.basis(k, b)]),
+        "sec2-star-double": sum(
+            forms.hodge_star(forms.hodge_star(DiscreteForm.basis(k, b)))
+            != DiscreteForm.basis((3, 3, 3, 3), b, (-1) ** (len(b) + 1))
+            for b in ALL_BLADES)}
+    assert any(alone.values())
+    for name, count in alone.items():
+        rec = identity_check(name, SuiteConfig(suite="identities"), None)
+        assert rec["value"] == count
+
+
 # ---------------------------------------------------------------------------
-# checks that lay their cases side by side report what the cases give alone
+# checks that run their cases in batches report what the cases give alone
+
+#: the linear checks, which run on one unit impulse per blade
+IMPULSE_CHECKS = sorted(set(PER_CASE_CHECKS) - {"eq2.15-leibniz"})
+#: the checks that lay their cases side by side; the Clifford unit's
+#: impulses sit on distinct sites of its 3^4 window instead
+SIDE_BY_SIDE = sorted(set(PER_CASE_CHECKS) - {"sec3-clifford-unit"})
+
+
+def _negate_last_axis_blades(op):
+    """``op`` with its result negated on the blades that hold axis 3."""
+    def negated(w):
+        out = op(w)
+        sign = np.array([-1 if 3 in b else 1 for b in GRADE_BLADES[out.degree]])
+        return _form(out.degree, out.origin,
+                     sign.reshape(-1, 1, 1, 1, 1) * out.data, out.slots)
+    return negated
+
 
 def _flip_last_axis_routes(monkeypatch):
-    # a wrong d and delta sign along the axis the cases lie along, so that
-    # the residuals are nonzero and differ from case to case
-    for routes, dirs in ((forms._RAISE, (0,)), (forms._LOWER, (1, 3))):
-        monkeypatch.setitem(routes, dirs, [(mu, -s if mu == 3 else s, nd)
-                                           for mu, s, nd in routes[dirs]])
+    # a wrong sign on the axis the cases lie along, so that the residuals
+    # are nonzero and differ from case to case: the routes of d from the
+    # 1-forms and of delta from the 2-forms, every plain difference (the
+    # operator route of d + delta), the unit's product with e_3 (the
+    # Clifford unit, the DK table's mass term), and, since the inverse star
+    # is the star's row inverse from the same signs, the inverse star itself,
+    # wherever the checks and their per-case loops read it
+    for routes, degree in ((forms._RAISE, 1), (forms._LOWER, 2)):
+        for dirs in GRADE_BLADES[degree]:
+            monkeypatch.setitem(routes, dirs, [
+                (mu, -s if mu == 3 else s, nd) for mu, s, nd in routes[dirs]])
+    for d in ALL_BLADES:
+        monkeypatch.setitem(forms._ALONG[3], d, [(3, -1, d)])
+    for key in (((), (3,)), ((3,), ())):
+        monkeypatch.setitem(_BLADE_TABLE, key, (-1, (3,)))
+    inverse = _negate_last_axis_blades(forms.hodge_star_inverse)
+    for module in (cli, forms):
+        monkeypatch.setattr(module, "hodge_star_inverse", inverse)
 
 
 @pytest.mark.parametrize("flipped", [False, True])
@@ -496,13 +568,29 @@ def test_side_by_side_checks_equal_their_per_case_loops(monkeypatch, seed,
     if flipped:
         _flip_last_axis_routes(monkeypatch)
     cfg = SuiteConfig(suite="identities", window=window, seed=seed)
-    for name, (per_case, cases) in PER_CASE_CHECKS.items():
+    for name, per_case in PER_CASE_CHECKS.items():
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        gaps = list(per_case(cfg, slow))
-        want = [max(gaps[i:i + cases]) for i in range(0, len(gaps), cases)]
+        want = [max(batch) for batch in per_case(cfg, slow)]
         assert list(IDENTITY_CHECKS[name][0](cfg, fast)) == want
         assert fast.bit_generator.state == slow.bit_generator.state
         assert any(want) == flipped
+
+
+@pytest.mark.parametrize("flipped", [False, True])
+def test_impulse_checks_draw_nothing_and_ignore_window_and_seed(monkeypatch,
+                                                                flipped):
+    if flipped:
+        _flip_last_axis_routes(monkeypatch)
+    for name in IMPULSE_CHECKS:
+        runs = []
+        for window, seed in itertools.product(
+                [(3, 3, 3, 3), (4, 4, 4, 4), (5, 4, 3, 6)], [0, 1, 42]):
+            rng = np.random.default_rng(seed)
+            state = rng.bit_generator.state
+            runs.append(list(IDENTITY_CHECKS[name][0](SuiteConfig(
+                suite="identities", window=window, seed=seed), rng)))
+            assert rng.bit_generator.state == state
+        assert all(r == runs[0] for r in runs) and any(runs[0]) == flipped
 
 
 def _joined(cases, gap):
@@ -513,56 +601,82 @@ def _joined(cases, gap):
                  tuple(sorted(set().union(*(w.slots for w in cases)))))
 
 
+def _placed(w, shift):
+    """The nonzero coefficients of ``w``, ``shift`` sites on along the last
+    axis."""
+    return {(k[:3] + (k[3] + shift,), d): c for (k, d), c in w.items()}
+
+
 @pytest.mark.parametrize("window", [(3, 3, 3, 3), (5, 4, 3, 6)])
-@pytest.mark.parametrize("name", sorted(PER_CASE_CHECKS))
+@pytest.mark.parametrize("name", SIDE_BY_SIDE)
 def test_a_joined_residual_is_the_case_residuals_side_by_side(monkeypatch,
                                                               window, name):
-    # with wrong d and delta signs, the residual of a batch's cases joined
-    # at the check's gap must be the cases' own residuals laid side by side,
-    # no sites apart; one site closer, the cases meet and it is not
+    # with wrong signs, the residual of a batch's cases joined at the check's
+    # gap must be the cases' own residuals, each placed as its inputs are,
+    # with no two on one coefficient; one site closer, in some batch of
+    # Leibniz and of d o d and delta o delta it is not.  The values of the
+    # other checks differ in blade where neighbours come one site closer (a
+    # difference along the last axis adds e_3 on one side and removes it on
+    # the other), so that there only the NaN test below sees them meet
     _flip_last_axis_routes(monkeypatch)
-    side_by_side, nonzero = cli._side_by_side, []
+    side_by_side, nonzero, met = cli._side_by_side, [], []
 
     def compare(gap, residual, *inputs):
-        alone = _joined([residual(*case) for case in zip(*inputs)], 0)
-        assert residual(*(_joined(w, gap) for w in inputs)) == alone
-        nonzero.append(not alone.is_zero())
-        if nonzero[-1]:
-            assert residual(*(_joined(w, gap - 1) for w in inputs)) != alone
+        width = inputs[0][0].data.shape[-1]
+        alone = [residual(*case) for case in zip(*inputs)]
+
+        def apart(gap):
+            placed = [_placed(w, c * (width + gap))
+                      for c, w in enumerate(alone)]
+            merged = {k: c for p in placed for k, c in p.items()}
+            joined = residual(*(_joined(w, gap) for w in inputs))
+            return len(merged) == sum(map(len, placed)) \
+                and _placed(joined, 0) == merged
+
+        assert apart(gap)
+        nonzero.append(any(not w.is_zero() for w in alone))
+        met.append(gap > 0 and not apart(gap - 1))
         return side_by_side(gap, residual, *inputs)
 
     monkeypatch.setattr(cli, "_side_by_side", compare)
     cfg = SuiteConfig(suite="identities", window=window)
     list(IDENTITY_CHECKS[name][0](cfg, np.random.default_rng(0)))
-    assert any(nonzero)
+    assert any(nonzero) and (any(met) or name not in (
+        "eq2.15-leibniz", "sec2-nilpotency-d", "sec2-nilpotency-delta"))
 
 
 def _nan(w):
-    return _form(w.degree, w.origin, np.full_like(w.data, np.nan), w.slots)
+    """``w`` with NaN on every site of its live blades."""
+    data = w.data.copy()
+    data[list(w.slots)] = np.nan
+    return _form(w.degree, w.origin, data, w.slots)
 
 
 def _nan_sites(w):
     """The sites along the last axis at which ``w`` holds a NaN."""
-    nan = np.isnan(w.data[list(w.slots)]).any(axis=(0, 1, 2, 3))
-    return set((w.origin[-1] + np.flatnonzero(nan)).tolist())
+    sites = set()
+    for p in forms._parts(w):
+        nan = np.isnan(p.data[list(p.slots)]).any(axis=(0, 1, 2, 3))
+        sites |= set((p.origin[-1] + np.flatnonzero(nan)).tolist())
+    return sites
 
 
 @pytest.mark.parametrize("window", [(3, 3, 3, 3), (5, 4, 3, 6)])
-@pytest.mark.parametrize("name", sorted(PER_CASE_CHECKS))
+@pytest.mark.parametrize("name", SIDE_BY_SIDE)
 def test_a_nan_case_changes_only_its_own_gap(monkeypatch, window, name):
-    # the middle case of the second batch is all NaN: only that batch's gap
-    # may change; joined at the check's gap, each case's NaNs stay on the
-    # box of its own residual; one site closer, the boxes overlap and a NaN
-    # crosses into a neighbour's
+    # the middle case of one batch, the second if there are two, is NaN on
+    # its live blades: only that batch's gap may change.  In every batch,
+    # joined at the check's gap, each case's NaNs land where they land alone,
+    # on no site a neighbour's reach; one site closer, in some batch they do,
+    # so that each gap is the least that keeps the cases apart
     _flip_last_axis_routes(monkeypatch)
     cfg = SuiteConfig(suite="identities", window=window)
     check = IDENTITY_CHECKS[name][0]
     clean = list(check(cfg, np.random.default_rng(0)))
-    side_by_side, calls = cli._side_by_side, itertools.count()
+    batch = min(1, len(clean) - 1)
+    side_by_side, calls, met = cli._side_by_side, itertools.count(), []
 
     def poisoned(gap, residual, *inputs):
-        if next(calls) != 1:
-            return side_by_side(gap, residual, *inputs)
         cases, width = len(inputs[0]), inputs[0][0].data.shape[-1]
 
         def with_nan(c):
@@ -573,25 +687,29 @@ def test_a_nan_case_changes_only_its_own_gap(monkeypatch, window, name):
             return _nan_sites(residual(*(_joined(ws, apart)
                                          for ws in with_nan(c))))
 
-        def box(c, apart):
-            # the last-axis sites of case c's own residual, laid out as
-            # its inputs are when joined ``apart`` sites apart
-            alone = residual(*(ws[c] for ws in inputs))
-            start = alone.origin[-1] + c * (width + apart)
-            return set(range(start, start + alone.data.shape[-1]))
+        # where each case's NaNs land alone, before it is placed
+        alone = [_nan_sites(residual(*(ws[c] for ws in with_nan(c))))
+                 for c in range(cases)]
 
-        for apart, meet in ((gap, False), (gap - 1, True)):
-            crossed = []
+        def crossed(apart):
+            own = [{k + c * (width + apart) for k in alone[c]}
+                   for c in range(cases)]
             for c in range(cases):
                 sites = reached(c, apart)
-                assert sites and sites <= box(c, apart)
-                crossed += [not sites.isdisjoint(box(b, apart))
-                            for b in (c - 1, c + 1) if 0 <= b < cases]
-            assert any(crossed) == meet
-        return side_by_side(gap, residual, *with_nan(cases // 2))
+                assert apart < gap or sites == own[c]
+                yield any(not sites.isdisjoint(own[b])
+                          for b in (c - 1, c + 1) if 0 <= b < cases)
+
+        assert not any(crossed(gap))
+        if gap:
+            met.append(any(crossed(gap - 1)))
+        if next(calls) == batch:
+            assert all(alone)
+            inputs = with_nan(cases // 2)
+        return side_by_side(gap, residual, *inputs)
 
     monkeypatch.setattr(cli, "_side_by_side", poisoned)
     gaps = list(check(cfg, np.random.default_rng(0)))
-    assert np.isnan(gaps[1]) and not np.isnan(clean[1])
-    assert gaps[:1] + gaps[2:] == clean[:1] + clean[2:]
-    assert any(clean[:1] + clean[2:])
+    assert np.isnan(gaps[batch]) and not np.isnan(clean[batch])
+    assert gaps[:batch] + gaps[batch + 1:] == clean[:batch] + clean[batch + 1:]
+    assert any(clean) and (any(met) or not met)
