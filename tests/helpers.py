@@ -439,7 +439,7 @@ def _per_impulse(residual, blades):
             for b in blades]
 
 
-def _per_mixed_impulse(residual, degrees=range(5)):
+def _per_lifted_impulse(residual, degrees=range(5)):
     """Per degree, a batch of impulses, each as an inhomogeneous form."""
     for degree in degrees:
         yield _per_impulse(
@@ -507,17 +507,17 @@ def clifford_unit_per_case(cfg, rng):
 
 
 def decomposition_per_case(cfg, rng):
-    return _per_mixed_impulse(lambda O: decomposition(O) - (
+    return _per_lifted_impulse(lambda O: decomposition(O) - (
         coboundary(O) + codifferential(O)))
 
 
 def dk_system_per_case(cfg, rng):
-    return _per_mixed_impulse(lambda O: dk_system_residual(O, cfg.mass) - (
+    return _per_lifted_impulse(lambda O: dk_system_residual(O, cfg.mass) - (
         dirac_kahler_apply(O) - cfg.mass * O))
 
 
 def joyce_system_per_case(cfg, rng):
-    return _per_mixed_impulse(lambda O: joyce_system_residual(O, cfg.mass)
+    return _per_lifted_impulse(lambda O: joyce_system_residual(O, cfg.mass)
                               - joyce_residual_form(O, cfg.mass), (0, 2, 4))
 
 

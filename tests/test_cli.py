@@ -532,9 +532,9 @@ def _negate_last_axis_blades(op):
     """``op`` with its result negated on the blades that hold axis 3."""
     def negated(w):
         out = op(w)
-        sign = np.array([-1 if 3 in b else 1 for b in GRADE_BLADES[out.degree]])
+        sign = [-1 if 3 in b else 1 for b in GRADE_BLADES[out.degree]]
         return _form(out.degree, out.origin,
-                     sign.reshape(-1, 1, 1, 1, 1) * out.data, out.slots)
+                     np.reshape(sign, (-1, 1, 1, 1, 1)) * out.data, out.slots)
     return negated
 
 
