@@ -577,11 +577,13 @@ def test_side_by_side_checks_equal_their_per_case_loops(monkeypatch, seed,
 
 
 @pytest.mark.parametrize("flipped", [False, True])
-def test_impulse_checks_draw_nothing_and_ignore_window_and_seed(monkeypatch,
-                                                                flipped):
+def test_only_the_bilinear_checks_read_window_and_seed(monkeypatch, flipped):
+    # the impulse proofs and the exhaustive table checks draw nothing and
+    # give the same gaps at every --window and --seed
     if flipped:
         _flip_last_axis_routes(monkeypatch)
-    for name in IMPULSE_CHECKS:
+    for name in sorted(set(IDENTITY_CHECKS) - {
+            "eq2.6-pairing-duality", "eq2.15-leibniz", "eq2.25-adjointness"}):
         runs = []
         for window, seed in itertools.product(
                 [(3, 3, 3, 3), (4, 4, 4, 4), (5, 4, 3, 6)], [0, 1, 42]):
@@ -590,7 +592,8 @@ def test_impulse_checks_draw_nothing_and_ignore_window_and_seed(monkeypatch,
             runs.append(list(IDENTITY_CHECKS[name][0](SuiteConfig(
                 suite="identities", window=window, seed=seed), rng)))
             assert rng.bit_generator.state == state
-        assert all(r == runs[0] for r in runs) and any(runs[0]) == flipped
+        assert all(r == runs[0] for r in runs)
+        assert any(runs[0]) == flipped or name not in IMPULSE_CHECKS
 
 
 def _joined(cases, gap):
