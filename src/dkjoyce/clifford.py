@@ -42,12 +42,11 @@ def clifford_mul(
 ) -> InhomogeneousForm:
     """Bilinear, sitewise extension of the basis blade product.
 
-    Only the stored blade slices of each operand are multiplied, over the
-    common box of the two parts they belong to.
+    Each blade slice of a part of A meets each of a part of B over the two
+    parts' common box; parts whose boxes do not meet add nothing.
     """
     pieces = []
-    for a, b in itertools.product(*([p for p in X.parts if p.slots]
-                                     for X in (A, B))):
+    for a, b in itertools.product(A.parts, B.parts):
         box = _overlap(a, b)
         if box:
             lo, av, bv = box

@@ -150,7 +150,7 @@ def pair(a: Chain, w) -> complex:
     total = 0
     for v in _forms._parts(w):
         u = a.form.parts[v.degree]
-        box = u.slots and v.slots and _forms._overlap(u, v)
+        box = _forms._overlap(u, v)
         if box:
             total = total + (box[1] * box[2]).sum()
     return total

@@ -60,7 +60,7 @@ class ResidualReport:
         gmax = [0.0] * 5
         interior, fringe = [], []
         for part in _parts(R):
-            a = np.abs(part.data[list(part.slots)]).astype(float)
+            a = np.abs(part.data).astype(float)
             gmax[part.degree] = float(a.max(initial=0.0))
             site = a.max(axis=0, initial=0.0)
             # interior sites 2 <= k_mu <= n_mu - 1, as box indices
@@ -238,4 +238,4 @@ def joyce_system_residual(Oev: InhomogeneousForm, m: float) -> InhomogeneousForm
     return _assemble(_push_diffs(1j * Oev, JOYCE_TARGETS) + [
         (target, -sign, p.origin, p.data[BLADE_SLOT[src]])
         for target, (sign, src) in JOYCE_RHS.items()
-        for p in [mOev.part(len(src))] if BLADE_SLOT[src] in p.slots])
+        for p in [mOev.part(len(src))]])

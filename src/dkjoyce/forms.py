@@ -2,11 +2,12 @@
 
 A degree-r form is an integer origin plus one array over the bounding box of
 its support, shaped ``(C(4, r), n0, n1, n2, n3)``: slot s holds the blade
-``GRADE_BLADES[r][s]``, index i the site ``origin + i``.  Storage is the
-whole box, so two coefficients far apart cost every site between them; a
-form built from coefficients may span at most ``MAX_LOAD_SITES``.  The
-array is complex128 when every coefficient given is a Python int, float or
-complex, else object, so the exact GaussianRational runs the same code.
+``GRADE_BLADES[r][s]``, index i the site ``origin + i``.  Storage is the whole
+box of every blade, with no list of the nonzero ones, so two coefficients far
+apart cost every site between them and an all-zero blade slice what a full one
+does.  A form built from coefficients may span at most ``MAX_LOAD_SITES``; its
+array is complex128 when every coefficient is a Python int, float or complex,
+else object, so the exact GaussianRational runs the same code.
 
 Every operator sums signed, shifted blade slices (:func:`_accumulate`) whose
 signs come from the blade product table of :mod:`dkjoyce.complex4`: d is the
@@ -44,20 +45,20 @@ class NotAdmissible(ValueError):
 
 
 class DiscreteForm:
-    """Degree-homogeneous cochain; immutable, zero outside ``slots``.
+    """Degree-homogeneous cochain; immutable, zero outside its box ``data``.
 
     Coefficients given as Python int, float or complex are stored as
     complex128, so :meth:`get` and :meth:`items` return them as complex
     (3 comes back as (3+0j)); any other type comes back as given.
     """
 
-    __slots__ = ("degree", "origin", "data", "slots")
+    __slots__ = ("degree", "origin", "data")
 
     def __init__(self, degree: int, coeffs: Dict[Key, complex] | None = None):
         if degree not in range(5):
             raise ValueError(f"degree must be 0..4, got {degree}")
         self.degree = degree
-        self.origin, self.data, self.slots = _scatter(
+        self.origin, self.data = _scatter(
             degree, *_rows(coeffs, degree)[degree])
 
     @classmethod
@@ -69,9 +70,9 @@ class DiscreteForm:
         d = normalize_dirs(dirs)
         return cls(len(d), {(tuple(k), d): coeff})
 
-    def live(self) -> list:
-        """(slot, blade) of the slices that may be nonzero."""
-        return [(s, GRADE_BLADES[self.degree][s]) for s in self.slots]
+    def live(self) -> Iterator[Tuple[int, DirectionSet]]:
+        """(slot, blade) of every slice; none for an empty box."""
+        return enumerate(GRADE_BLADES[self.degree] if self.data.size else ())
 
     def get(self, key: Key, default=0):
         k, dirs = key
@@ -90,11 +91,11 @@ class DiscreteForm:
         return zip(zip(sites, map(blades.__getitem__, slots)), values.tolist())
 
     def is_zero(self) -> bool:
-        return not any((self.data[s] != 0).any() for s in self.slots)
+        return not (self.data != 0).any()
 
     def max_norm(self) -> float:
         """Largest absolute coefficient, 0.0 if none; NaN if any is NaN."""
-        return float(np.abs(self.data[list(self.slots)]).max(initial=0.0))
+        return float(np.abs(self.data).max(initial=0.0))
 
     def __add__(self, other: "DiscreteForm") -> "DiscreteForm":
         return _sum(self, other, 1)
@@ -110,12 +111,11 @@ class DiscreteForm:
         # exact zeros are slow), unless complex128 padding stays zero
         if isinstance(scalar, (float, complex)) and cmath.isfinite(scalar) \
                 and self.data.dtype == complex:
-            return _form(self.degree, self.origin, scalar * self.data,
-                         self.slots)
+            return _form(self.degree, self.origin, scalar * self.data)
         data = self.data.astype(np.result_type(self.data, np.asarray(scalar)))
         nz = data != 0
         data[nz] = scalar * data[nz]
-        return _form(self.degree, self.origin, data, self.slots)
+        return _form(self.degree, self.origin, data)
 
     def __neg__(self) -> "DiscreteForm":
         return (-1) * self
@@ -136,27 +136,30 @@ class DiscreteForm:
         return f"DiscreteForm(degree={self.degree}, nnz={nnz})"
 
 
-def _form(degree, origin, data, slots) -> DiscreteForm:
+def _form(degree, origin, data) -> DiscreteForm:
     w = object.__new__(DiscreteForm)
-    w.degree, w.origin, w.data, w.slots = degree, origin, data, slots
+    w.degree, w.origin, w.data = degree, origin, data
     return w
 
 
 def _rows(coeffs, degree=None) -> list:
     """Per degree, the columns (slots, sites, values) of the nonzero values
     of ``{(k, dirs): c}``; given ``degree``, every key must be of it."""
+    rows: list = [[] for _ in range(5)]
+    for key, c in (coeffs or {}).items():
+        try:  # a key that is no pair, or a site or blade no sequence
+            k, dirs = key
+            s = BLADE_SLOT.get(tuple(dirs)) if len(k) == 4 else None
+        except (TypeError, ValueError):
+            s = None
+        if s is None or degree not in (None, len(dirs)):
+            of = "" if degree is None else f" of degree {degree}"
+            raise ValueError(f"key {key!r} is not a site and a blade{of}")
+        if c != 0:
+            rows[len(dirs)].append((s, k, c))
     if not _typed(itertools.chain.from_iterable(map(operator.itemgetter(0), (
             coeffs or {}))), int, np.integer):  # int64 would take 1.5 as 1
         raise ValueError("site components must be integers, not bools")
-    rows: list = [[] for _ in range(5)]
-    for (k, dirs), c in (coeffs or {}).items():
-        s = BLADE_SLOT.get(tuple(dirs))
-        if s is None or len(k) != 4 or degree not in (None, len(dirs)):
-            of = "" if degree is None else f" of degree {degree}"
-            raise ValueError(f"key {(k, dirs)!r} is not a site and a "
-                             f"blade{of}")
-        if c != 0:
-            rows[len(dirs)].append((s, k, c))
     return [tuple(zip(*r)) or ((), (), ()) for r in rows]
 
 
@@ -167,12 +170,12 @@ def _typed(col, *types) -> bool:
 
 
 def _scatter(degree: int, slots, sites, values, of="sites"):
-    """Origin, box array and slots of ``values`` at ``slots`` and ``sites``.
+    """Origin and box array of ``values`` at ``slots`` and ``sites``.
     It rejects, naming the rows ``of``, a site outside the 64-bit range and,
     before allocating, a box of more than ``MAX_LOAD_SITES`` sites."""
     if not len(values):
         empty = np.zeros((len(GRADE_BLADES[degree]), 0, 0, 0, 0), complex)
-        return (0,) * 4, empty, ()
+        return (0,) * 4, empty
     try:
         sites = np.asarray(sites, np.int64)
     except OverflowError:
@@ -187,7 +190,7 @@ def _scatter(degree: int, slots, sites, values, of="sites"):
     data = np.zeros([len(GRADE_BLADES[degree])] + shape,
                     complex if native else object)
     data[(slots, *(sites - lo).T)] = values
-    return tuple(lo.tolist()), data, tuple(np.unique(slots).tolist())
+    return tuple(lo.tolist()), data
 
 
 _ZERO = [DiscreteForm(r) for r in range(5)]
@@ -246,7 +249,7 @@ def _accumulate(degree: int, pieces) -> DiscreteForm:
             view += a
         else:
             view -= a
-    return _form(degree, lo, out, tuple(sorted(set(slots))))
+    return _form(degree, lo, out)
 
 
 def _overlap(u: DiscreteForm, v: DiscreteForm, vo=None):
@@ -326,6 +329,14 @@ def _parts(w) -> tuple:
     return w.parts if isinstance(w, InhomogeneousForm) else (w,)
 
 
+def _nonzero_sites(w) -> np.ndarray:
+    """The distinct sites, one sorted row each, at which some part of ``w``
+    holds a nonzero coefficient."""
+    return np.unique(np.concatenate([
+        np.argwhere((p.data != 0).any(axis=0)) + p.origin
+        for p in _parts(w)]), axis=0)
+
+
 def _assemble(pieces) -> InhomogeneousForm:
     """:func:`_accumulate` for pieces of any grades."""
     grades: list = [[] for _ in range(5)]
@@ -342,17 +353,16 @@ class Window:
     n: Tuple[int, int, int, int]
 
     def __post_init__(self):
-        if any(not isinstance(x, int) or x < 1 for x in self.n):
-            raise ValueError(f"window extents must be positive, got {self.n}")
+        if len(self.n) != 4 or not _typed(self.n, int) or min(self.n) < 1:
+            raise ValueError(f"window needs four int extents >= 1: {self.n}")
 
     def sites(self) -> Iterator[MultiIndex]:
         return itertools.product(*(range(1, x + 1) for x in self.n))
 
     def admissible(self, w) -> bool:
         """Whether every nonzero coefficient of ``w`` lies in the window."""
-        return all(((k >= 1) & (k <= self.n)).all() for k in (
-            np.argwhere((p.data != 0).any(axis=0)) + p.origin
-            for p in _parts(w)))
+        k = _nonzero_sites(w)
+        return bool(((k >= 1) & (k <= self.n)).all())
 
 
 # ---------------------------------------------------------------------------

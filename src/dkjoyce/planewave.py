@@ -29,7 +29,7 @@ import numpy as np
 
 from .complex4 import _BLADE_TABLE, AXES, GRADE_BLADES, MultiIndex
 from .forms import MAX_LOAD_SITES, DiscreteForm, InhomogeneousForm, Window, \
-    _ALONG, _accumulate, _assemble, _stencil_pieces, _typed
+    _ALONG, _accumulate, _assemble, _stencil_pieces
 from .clifford import _blade_pieces, blade_product
 from .dirac_joyce import ResidualReport, _dirac_pieces, _require_even, \
     check_mass, joyce_residual_form
@@ -393,8 +393,6 @@ class PlaneWaveSpec:
         check_mass(m)
         if m * m < sys.float_info.min:
             raise ValueError(f"mass {m!r} is too small: its square underflows")
-        if len(window) != 4 or not _typed(window, int):
-            raise ValueError(f"window needs four int extents, got {window!r}")
         if (sites := math.prod(Window(window).n)) > MAX_LOAD_SITES:
             raise ValueError(f"window has {sites} sites > {MAX_LOAD_SITES}")
         try:

@@ -493,7 +493,7 @@ def star_d_star_shift_per_case(cfg, rng):
     def residual(w):
         want = codifferential(w)
         return star_d_star(w) - _form(want.degree, tau_all(want.origin),
-                                      want.data, want.slots)
+                                      want.data)
     for degree in range(1, 5):
         yield _per_impulse(residual, AXIS_SETS[degree])
 

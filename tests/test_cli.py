@@ -371,8 +371,8 @@ def test_random_boxes_equal_the_summed_blade_slices(groups):
         want = _assemble([(b, 1, origin, a[..., i])
                           for i, b in enumerate(blades)]).part(r)
         assert list(got.items()) == list(want.items())
-        assert (got.slots, got.data.dtype, got.origin) == \
-            (want.slots, want.data.dtype, want.origin)
+        assert (got.data.shape, got.data.dtype, got.origin) == \
+            (want.data.shape, want.data.dtype, want.origin)
         assert got.data.flags.c_contiguous
     assert fast.bit_generator.state == slow.bit_generator.state
 
@@ -534,7 +534,7 @@ def _negate_last_axis_blades(op):
         out = op(w)
         sign = [-1 if 3 in b else 1 for b in GRADE_BLADES[out.degree]]
         return _form(out.degree, out.origin,
-                     np.reshape(sign, (-1, 1, 1, 1, 1)) * out.data, out.slots)
+                     np.reshape(sign, (-1, 1, 1, 1, 1)) * out.data)
     return negated
 
 
@@ -600,8 +600,7 @@ def _joined(cases, gap):
     """``cases``, forms on one box, along the last axis ``gap`` sites apart."""
     pad = np.zeros(cases[0].data.shape[:-1] + (gap,), cases[0].data.dtype)
     data = np.concatenate([a for w in cases for a in (pad, w.data)][1:], -1)
-    return _form(cases[0].degree, cases[0].origin, data,
-                 tuple(sorted(set().union(*(w.slots for w in cases)))))
+    return _form(cases[0].degree, cases[0].origin, data)
 
 
 def _placed(w, shift):
@@ -649,17 +648,17 @@ def test_a_joined_residual_is_the_case_residuals_side_by_side(monkeypatch,
 
 
 def _nan(w):
-    """``w`` with NaN on every site of its live blades."""
+    """``w`` with NaN on every site of each blade that holds a nonzero."""
     data = w.data.copy()
-    data[list(w.slots)] = np.nan
-    return _form(w.degree, w.origin, data, w.slots)
+    data[(data != 0).any(axis=(1, 2, 3, 4))] = np.nan
+    return _form(w.degree, w.origin, data)
 
 
 def _nan_sites(w):
     """The sites along the last axis at which ``w`` holds a NaN."""
     sites = set()
     for p in forms._parts(w):
-        nan = np.isnan(p.data[list(p.slots)]).any(axis=(0, 1, 2, 3))
+        nan = np.isnan(p.data).any(axis=(0, 1, 2, 3))
         sites |= set((p.origin[-1] + np.flatnonzero(nan)).tolist())
     return sites
 
@@ -668,7 +667,7 @@ def _nan_sites(w):
 @pytest.mark.parametrize("name", SIDE_BY_SIDE)
 def test_a_nan_case_changes_only_its_own_gap(monkeypatch, window, name):
     # the middle case of one batch, the second if there are two, is NaN on
-    # its live blades: only that batch's gap may change.  In every batch,
+    # its nonzero blades: only that batch's gap may change.  In every batch,
     # joined at the check's gap, each case's NaNs land where they land alone,
     # on no site a neighbour's reach; one site closer, in some batch they do,
     # so that each gap is the least that keeps the cases apart

@@ -22,10 +22,13 @@ def test_boundary_of_interval():
 
 
 @pytest.mark.parametrize("key", [((1, 1, 1), (0,)), ((1, 1, 1, 1), (1, 0)),
-                                 ((1, 1, 1, 1), (0, 0)), ((1, 1, 1, 1.5), ())])
+                                 ((1, 1, 1, 1), (0, 0)), ((1, 1, 1, 1.5), ()),
+                                 (5, ()), ((1, 1, 1, 1), 3)])
 def test_chain_keys_are_sites_and_blades(key):
     with pytest.raises(ValueError):
         Chain({key: 1})
+    with pytest.raises(ValueError):
+        DiscreteForm(0, {key: 1})
 
 
 def test_chain_terms_are_a_read_only_view():

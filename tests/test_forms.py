@@ -256,6 +256,14 @@ def test_inner_product_not_admissible():
         inner_product(w, w, win)
 
 
+@pytest.mark.parametrize("n", [(3, 3, 3), (3,) * 5, (True, 3, 3, 3),
+                               (0, 3, 3, 3)], ids=str)
+def test_window_takes_four_int_extents_of_at_least_one(n):
+    # a window of three extents would fail later, as an IndexError
+    with pytest.raises(ValueError, match="four int extents"):
+        Window(n)
+
+
 def test_adjointness_exact():
     # (d u, v) = (u, delta v) with a one-cell margin, exact scalars
     rng = rng_for(8)
@@ -365,15 +373,15 @@ def test_sums_at_the_int64_edge_do_not_wrap():
     # reaches past it, as at the origin, and a sum spanning the whole int64
     # range hits the box bound
     data = np.arange(1, 65).reshape(4, 2, 2, 2, 2).astype(complex)
-    edge, base = (_form(1, o, data, (0, 1, 2, 3))
+    edge, base = (_form(1, o, data)
                   for o in ((2 ** 63 - 1, 0, 0, 0), (0, 0, 0, 0)))
     for got, want in ((codifferential(edge), codifferential(base)),
                       (edge + edge, base + base)):
         assert got.origin == (2 ** 63 - 1, 0, 0, 0) and want.origin == (0,) * 4
         assert got.data.shape == want.data.shape
-        assert (got.data == want.data).all() and got.slots == want.slots
+        assert (got.data == want.data).all()
     assert codifferential(edge).data.shape == (1, 3, 3, 3, 3)
-    low = _form(1, (-2 ** 63, 0, 0, 0), data, (0, 1, 2, 3))
+    low = _form(1, (-2 ** 63, 0, 0, 0), data)
     with pytest.raises(ValueError, match=f"more than {MAX_LOAD_SITES}"):
         edge + low
 

@@ -242,7 +242,7 @@ def _outcome(load, records):
         A = load(copy.deepcopy(records))
     except SchemaError as exc:
         return str(exc)
-    return [(p.origin, p.slots, p.data.dtype, p.data.shape, p.data.tobytes())
+    return [(p.origin, p.data.dtype, p.data.shape, p.data.tobytes())
             for p in A.parts]
 
 
