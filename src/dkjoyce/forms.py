@@ -361,6 +361,10 @@ class Window:
 
     def admissible(self, w) -> bool:
         """Whether every nonzero coefficient of ``w`` lies in the window."""
+        # read no data where every part's box lies in it
+        if all(1 <= o and o + s <= x + 1 for p in _parts(w)
+               for o, s, x in zip(p.origin, p.data.shape[1:], self.n)):
+            return True
         k = _nonzero_sites(w)
         return bool(((k >= 1) & (k <= self.n)).all())
 
@@ -443,26 +447,30 @@ def codifferential(w):
 # ---------------------------------------------------------------------------
 # cup product
 
-def cup(u: DiscreteForm, v: DiscreteForm) -> DiscreteForm:
+def cup(u, v):
     """Cup multiplication, the discrete analogue of the exterior product.
 
     Per axis, a left interval factor at position kappa matches a right point
     factor at kappa+1, a left point at kappa matches a right interval or
     point at kappa; any other per-axis combination kills the whole product.
     Overlapping direction sets give zero; disjoint ones carry the sign of
-    their blade product (the Koszul sign of the crossing factors).
+    their blade product (the Koszul sign of the crossing factors).  On
+    inhomogeneous forms it is the sum over every pair of parts.
     """
-    deg = u.degree + v.degree
     pieces = []
-    for su, du in u.live():
-        # v is read at k + e_du: seen from k, its box starts e_du lower
-        box = _overlap(u, v, _shifted(v.origin, du, -1))
-        for sv, dv in v.live() if box else ():
-            sign, nd = _BLADE_TABLE[(du, dv)]
-            if len(nd) == deg:
-                pieces.append((nd, sign, box[0], box[1][su], box[2][sv]))
     # above degree 4 the direction sets overlap and the product vanishes
-    return _accumulate(min(deg, 4), pieces)
+    for a, b in itertools.product(_parts(u), _parts(v)):
+        deg = a.degree + b.degree
+        for su, du in a.live() if deg <= 4 else ():
+            # b is read at k + e_du: seen from k, its box starts e_du lower
+            box = _overlap(a, b, _shifted(b.origin, du, -1))
+            for sv, dv in b.live() if box else ():
+                sign, nd = _BLADE_TABLE[(du, dv)]
+                if len(nd) == deg:
+                    pieces.append((nd, sign, box[0], box[1][su], box[2][sv]))
+    if isinstance(u, DiscreteForm) and isinstance(v, DiscreteForm):
+        return _accumulate(min(u.degree + v.degree, 4), pieces)
+    return _assemble(pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from dkjoyce import (
     star_d_star,
     unit_form,
 )
+from dkjoyce import cli
 from dkjoyce.cli import _random_forms
 from dkjoyce.complex4 import AXES, tau_all
 from dkjoyce.dirac_joyce import (DK_SYSTEM, JOYCE_RHS, JOYCE_TARGETS,
@@ -460,17 +461,26 @@ def nilpotency_delta_per_case(cfg, rng):
 
 
 def leibniz_per_case(cfg, rng):
+    # the graded rule on U and V drawn as the check draws them, summed by
+    # degree from the 15 homogeneous (r, q) residuals of degree-r and
+    # degree-q cups; the budget is read at call time, so that a test can
+    # change it here and in the check at once
     win = Window(cfg.window)
-    for r in range(5):
-        for q in range(5 - r):
-            batch = []
-            for _ in range(3):
-                u, v = _random_forms(rng, (r, q), win)
-                lhs = coboundary(cup(u, v))
-                rhs = cup(coboundary(u), v) \
-                    + (-1) ** r * cup(u, coboundary(v))
-                batch.append((lhs - rhs).max_norm())
-            yield batch
+    joined = 3 * math.prod(win.n) <= cli.LEIBNIZ_SITES
+    for size in (3,) if joined else (1, 1, 1):
+        batch = []
+        for _ in range(size):
+            w = _random_forms(rng, (*range(5), *range(5)), win)
+            u, v = w[:5], w[5:]
+            parts = [DiscreteForm.zero(r) for r in range(5)]
+            for r in range(5):
+                for q in range(5 - r):
+                    lhs = coboundary(cup(u[r], v[q]))
+                    rhs = cup(coboundary(u[r]), v[q]) \
+                        + (-1) ** r * cup(u[r], coboundary(v[q]))
+                    parts[lhs.degree] += lhs - rhs
+            batch.append(InhomogeneousForm(parts).max_norm())
+        yield batch
 
 
 # the inverse star is read from the module at call time, so that a test can

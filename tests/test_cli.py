@@ -380,9 +380,13 @@ def test_random_boxes_equal_the_summed_blade_slices(groups):
 # ---------------------------------------------------------------------------
 # each identity check catches a wrong entry in the table it tests
 
-@pytest.mark.parametrize("entry, count", [(((1,), (2,)), 58),
-                                          (((0,), (0,)), 56)])
+@pytest.mark.parametrize("entry, count", [
+    (((), (1,)), 60), (((1,), (2,)), 58), (((0,), (0,)), 56),
+    (((0, 1), (2, 3)), 58), (((1, 2, 3), (0,)), 58),
+    (((0, 1, 2, 3), (0, 1, 2, 3)), 56)], ids=str)
 def test_associativity_counts_the_failing_triples(monkeypatch, entry, count):
+    # flipped entries whose left blade is of each grade 0..4: each left
+    # blade's count of failing triples must land in its own entry
     sign, blade = _BLADE_TABLE[entry]
     monkeypatch.setitem(_BLADE_TABLE, entry, (-sign, blade))
 
@@ -559,14 +563,23 @@ def _flip_last_axis_routes(monkeypatch):
         monkeypatch.setattr(module, "hodge_star_inverse", inverse)
 
 
+def _leibniz_alone(monkeypatch, alone):
+    """With ``alone``, a Leibniz batch holds one case at every window."""
+    if alone:
+        monkeypatch.setattr(cli, "LEIBNIZ_SITES", 0)
+
+
+@pytest.mark.parametrize("alone", [False, True], ids=["joined", "alone"])
 @pytest.mark.parametrize("flipped", [False, True])
 @pytest.mark.parametrize("window", [(3, 3, 3, 3), (4, 4, 4, 4), (5, 4, 3, 6)])
 @pytest.mark.parametrize("seed", [0, 1, 42])
 def test_side_by_side_checks_equal_their_per_case_loops(monkeypatch, seed,
-                                                        window, flipped):
+                                                        window, flipped,
+                                                        alone):
     # one gap per batch of cases: the largest of the batch's own gaps
     if flipped:
         _flip_last_axis_routes(monkeypatch)
+    _leibniz_alone(monkeypatch, alone)
     cfg = SuiteConfig(suite="identities", window=window, seed=seed)
     for name, per_case in PER_CASE_CHECKS.items():
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -574,6 +587,8 @@ def test_side_by_side_checks_equal_their_per_case_loops(monkeypatch, seed,
         assert list(IDENTITY_CHECKS[name][0](cfg, fast)) == want
         assert fast.bit_generator.state == slow.bit_generator.state
         assert any(want) == flipped
+        if name == "eq2.15-leibniz":  # three cases, joined below the budget
+            assert len(want) == (3 if alone else 1)
 
 
 @pytest.mark.parametrize("flipped", [False, True])
@@ -663,15 +678,20 @@ def _nan_sites(w):
     return sites
 
 
+@pytest.mark.parametrize("alone", [False, True], ids=["joined", "alone"])
 @pytest.mark.parametrize("window", [(3, 3, 3, 3), (5, 4, 3, 6)])
 @pytest.mark.parametrize("name", SIDE_BY_SIDE)
-def test_a_nan_case_changes_only_its_own_gap(monkeypatch, window, name):
+def test_a_nan_case_changes_only_its_own_gap(monkeypatch, window, name,
+                                             alone):
     # the middle case of one batch, the second if there are two, is NaN on
     # its nonzero blades: only that batch's gap may change.  In every batch,
     # joined at the check's gap, each case's NaNs land where they land alone,
-    # on no site a neighbour's reach; one site closer, in some batch they do,
-    # so that each gap is the least that keeps the cases apart
+    # on no site a neighbour's reach; one site closer, in some batch of more
+    # than one case they do, so that each gap is the least that keeps the
+    # cases apart.  Leibniz's three cases make one batch when joined, so
+    # only with its cases alone are there other batches to compare
     _flip_last_axis_routes(monkeypatch)
+    _leibniz_alone(monkeypatch, alone)
     cfg = SuiteConfig(suite="identities", window=window)
     check = IDENTITY_CHECKS[name][0]
     clean = list(check(cfg, np.random.default_rng(0)))
@@ -703,7 +723,7 @@ def test_a_nan_case_changes_only_its_own_gap(monkeypatch, window, name):
                           for b in (c - 1, c + 1) if 0 <= b < cases)
 
         assert not any(crossed(gap))
-        if gap:
+        if gap and cases > 1:
             met.append(any(crossed(gap - 1)))
         if next(calls) == batch:
             assert all(alone)

@@ -256,6 +256,45 @@ def test_inner_product_not_admissible():
         inner_product(w, w, win)
 
 
+def _past_edge(value, mu=2):
+    """A 2-form on a box one site past the last site of a (3, 4, 3, 2)
+    window along ``mu``, holding ``value`` on every blade there."""
+    shape = [6, 3, 4, 3, 2]
+    shape[1 + mu] += 1
+    data = np.ones(shape, complex)
+    data[(slice(None),) * (1 + mu) + (-1,)] = value
+    return _form(2, (1, 1, 1, 1), data)
+
+
+@pytest.mark.parametrize("build, inside", [
+    (lambda: _form(1, (1, 1, 1, 1), np.ones((4, 3, 4, 3, 2), complex)), True),
+    (lambda: _past_edge(0), True),
+    (lambda: _past_edge(1), False),
+    (lambda: _past_edge(np.nan), False),
+    (lambda: _form(0, (0, 2, 2, 2), np.zeros((1, 1, 1, 1, 1), complex)), True),
+    (lambda: DiscreteForm.zero(3), True),
+    (lambda: InhomogeneousForm.zero(), True),
+    (lambda: InhomogeneousForm([_form(0, (1, 1, 1, 1), np.ones(
+        (1, 3, 4, 3, 2), complex))] + [DiscreteForm.zero(r) for r in (1, 2)]
+        + [DiscreteForm.basis((1, 1, 1, 3), (0, 1, 2)),
+           DiscreteForm.zero(4)]), False),
+], ids=["fills", "zeros-past", "one-past", "nan-past", "zeros-before",
+        "empty", "empty-parts", "one-part-past"])
+def test_admissible_agrees_with_the_site_scan(monkeypatch, build, inside):
+    # the boxes decide at once where they lie in the window; else the sites
+    # of the nonzero coefficients do, a NaN among them
+    win, w = Window((3, 4, 3, 2)), build()
+    scan = all(all(1 <= x <= n for x, n in zip(k, win.n))
+               for (k, _dirs), _c in w.items())
+    assert win.admissible(w) == scan == inside
+    boxed = all(min(p.origin) >= 1 and all(
+        o + s - 1 <= n for o, s, n in zip(p.origin, p.data.shape[1:], win.n))
+        for p in forms._parts(w))
+    if boxed:  # then no coefficient is read
+        monkeypatch.setattr(forms, "_nonzero_sites", None)
+        assert win.admissible(w)
+
+
 @pytest.mark.parametrize("n", [(3, 3, 3), (3,) * 5, (True, 3, 3, 3),
                                (0, 3, 3, 3)], ids=str)
 def test_window_takes_four_int_extents_of_at_least_one(n):
@@ -587,6 +626,31 @@ def test_box_forms_promote_complex_to_exact(w, blade):
         b = DiscreteForm.basis(k, blade, coeff)
         _check_outputs(True, cup(b, w), cup(w, b), clifford_mul(
             InhomogeneousForm.from_form(b), InhomogeneousForm.from_form(w)))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@PROPERTY
+@given(data=st.data())
+def test_cup_of_inhomogeneous_forms_sums_the_pairs_of_parts(exact, data):
+    U, V = (InhomogeneousForm([data.draw(_forms(r, exact)) for r in range(5)])
+            for _ in range(2))
+    want = [DiscreteForm.zero(r) for r in range(5)]
+    for u, v in itertools.product(U.parts, V.parts):
+        w = cup(u, v)
+        if u.degree + v.degree > 4:
+            assert w.is_zero()  # so such a pair must add nothing
+        else:
+            want[w.degree] += w
+    got = cup(U, V)
+    assert isinstance(got, InhomogeneousForm)
+    assert got == InhomogeneousForm(want)
+    # a homogeneous factor acts as the inhomogeneous form of that one part
+    u, v = U.part(1), V.part(2)
+    for left, right in ((u, V), (U, v)):
+        assert cup(left, right) == cup(*(
+            w if isinstance(w, InhomogeneousForm)
+            else InhomogeneousForm.from_form(w) for w in (left, right)))
+    _check_outputs(exact, got)
 
 
 def _retyped(w):
