@@ -76,7 +76,7 @@ from .planewave import (
 )
 DEFAULT_TOL = 1e-10
 SUITES = ("identities", "planewave", "dispersion-scan", "all")
-#: most sites of three Leibniz cases side by side; above it each runs alone
+#: most sites of three Leibniz cases side by side, above which one at a time
 LEIBNIZ_SITES = 4096
 
 
@@ -223,8 +223,7 @@ def check_pairing_duality(cfg, rng):
 
 
 def check_leibniz(cfg, rng):
-    # d(U cup V) = dU cup V + U^ cup dV, U^ the sum of (-1)^r u_r, on three
-    # cases of U and V, each the parts of one draw of ten forms
+    # the graded rule d(U cup V) = dU cup V + U^ cup dV, U^ = sum (-1)^r u_r
     def residual(*parts):
         U, V = InhomogeneousForm(parts[:5]), InhomogeneousForm(parts[5:])
         hat = InhomogeneousForm([-u if u.degree % 2 else u for u in U.parts])
@@ -300,10 +299,10 @@ def check_clifford_anticommutators(cfg, rng):
 
 
 def check_clifford_associativity(cfg, rng):
-    # products are sitewise: site (1 + i, 1 + l) of a 16 x 16 box holds
-    # b_i = ALL_BLADES[i], the left blade a_l = ALL_BLADES[l] and all 16
-    # blades c; as c -> a b c is one to one, each nonzero coefficient of
-    # (AB)C - A(BC) is one failing triple.  Yields the count per left blade
+    # products are sitewise: site (1 + i, 1 + l) of a 16 x 16 box holds b_i
+    # and the left blade a_l of ALL_BLADES, and C all 16 blades.  Yields per
+    # a_l the nonzero coefficients of (AB)C - A(BC), its failing triples if
+    # only signs are wrong; a wrong blade splits or cancels their coefficients
     A = _assemble([(a, 1, (1, 1 + l, 1, 1), np.ones((16, 1, 1, 1)))
                    for l, a in enumerate(ALL_BLADES)])
     B = _assemble([(b, 1, (1 + i, 1, 1, 1), np.ones((1, 16, 1, 1)))

@@ -361,7 +361,6 @@ class Window:
 
     def admissible(self, w) -> bool:
         """Whether every nonzero coefficient of ``w`` lies in the window."""
-        # read no data where every part's box lies in it
         if all(1 <= o and o + s <= x + 1 for p in _parts(w)
                for o, s, x in zip(p.origin, p.data.shape[1:], self.n)):
             return True

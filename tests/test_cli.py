@@ -408,6 +408,40 @@ def test_associativity_counts_the_failing_triples(monkeypatch, entry, count):
     assert rec["value"] == count
 
 
+@pytest.mark.parametrize("entry", [((), (1,)), ((1,), (2,)), ((0,), (0,)),
+                                   ((0, 1), (2, 3)), ((1, 2, 3), (0,))],
+                         ids=str)
+def test_associativity_catches_a_wrong_blade(monkeypatch, entry):
+    # the entry's product times e_0.  A failing triple with a wrong blade is
+    # nonzero on two blades, and as e_0 times C, the sum of all 16 blades,
+    # is C, triples can also cancel: the check counts nonzero coefficients,
+    # here more than the failing triples, and fails
+    sign, blade = _BLADE_TABLE[entry]
+    s0, wrong = blade_product(blade, (0,))
+    monkeypatch.setitem(_BLADE_TABLE, entry, (sign * s0, wrong))
+
+    def coefficients(a, b):
+        """The blade coefficients of (a b) C - a (b C), C all 16 blades."""
+        out = dict.fromkeys(ALL_BLADES, 0)
+        for c in ALL_BLADES:
+            s1, ab = blade_product(a, b)
+            s2, x = blade_product(ab, c)
+            out[x] += s1 * s2
+            s1, bc = blade_product(b, c)
+            s2, x = blade_product(a, bc)
+            out[x] -= s1 * s2
+        return out
+
+    brute = [sum(v != 0 for b in ALL_BLADES
+                 for v in coefficients(a, b).values()) for a in ALL_BLADES]
+    check, _kind = IDENTITY_CHECKS["sec3-clifford-associativity"]
+    assert list(check(SuiteConfig(suite="identities"), None)) == brute
+    rec = identity_check("sec3-clifford-associativity",
+                         SuiteConfig(suite="identities"),
+                         np.random.default_rng(0))
+    assert rec["status"] == "fail" and rec["value"] == sum(brute) > 0
+
+
 def test_flipped_dk_system_sign_fails_the_check(monkeypatch):
     # the signs of the row's last two terms, each read from its own blade
     row = DK_SYSTEM[(0, 1)]
