@@ -76,8 +76,8 @@ from .planewave import (
 )
 DEFAULT_TOL = 1e-10
 SUITES = ("identities", "planewave", "dispersion-scan", "all")
-#: most sites of three Leibniz cases side by side, above which one at a time
-LEIBNIZ_SITES = 4096
+#: most sites of a check's random cases side by side, above which one at a time
+JOIN_SITES = 4096
 
 
 class ConfigInvalid(ValueError):
@@ -179,6 +179,16 @@ def _join(cases, gap: int) -> DiscreteForm:
     return _form(w.degree, w.origin, data)
 
 
+def _case(w, c, box, gap: int) -> DiscreteForm:
+    """Inverse of :func:`_join`: the values of ``w``, computed from cases
+    ``gap`` sites apart, on case ``c``'s copy of the box of ``box``, placed
+    at the case's own sites."""
+    lo = [b - o for b, o in zip(box.origin, w.origin)]
+    lo[3] += c * (box.data.shape[-1] + gap)
+    return _form(w.degree, box.origin, w.data[(slice(None), *(
+        slice(i, i + n) for i, n in zip(lo, box.data.shape[1:])))])
+
+
 def _side_by_side(gap: int, residual, *inputs) -> float:
     """The largest |coefficient| of ``residual`` of ``inputs``, lists of one
     form per case joined ``gap`` sites apart; a gap of the residual's reach
@@ -213,13 +223,26 @@ def check_nilpotency_delta(cfg, rng):
         1, lambda w: codifferential(codifferential(w)), range(1, 5))
 
 
+def _dual_gaps(gap: int, pairing, op, adjoint, xs, ys) -> list:
+    """Per case, |pairing(op x, y) - pairing(x, adjoint y)|: op and adjoint
+    run once on the cases ``xs`` and ``ys`` joined ``gap`` sites apart, and
+    each case pairs the views of its own sites."""
+    ox, ay = op(_join(xs, gap)), adjoint(_join(ys, gap))
+    return [abs(pairing(_case(ox, c, y, gap), y)
+                - pairing(x, _case(ay, c, x, gap)))
+            for c, (x, y) in enumerate(zip(xs, ys))]
+
+
 def check_pairing_duality(cfg, rng):
     win = Window(cfg.window)
+    chain = lambda c: Chain.from_form(InhomogeneousForm.from_form(c))
     for degree in range(1, 5):
-        for _ in range(5):
-            c, w = _random_forms(rng, (degree, degree - 1), win)
-            a = Chain.from_form(InhomogeneousForm.from_form(c))
-            yield abs(pair(boundary(a), w) - pair(a, coboundary(w)))
+        for size in (5,) if 5 * math.prod(win.n) <= JOIN_SITES else (1,) * 5:
+            cs = _random_forms(rng, (degree, degree - 1) * size, win)
+            yield np.max(_dual_gaps(
+                1, lambda a, w: pair(chain(a), w), lambda c: boundary(
+                    chain(c)).form.parts[degree - 1], coboundary,
+                cs[::2], cs[1::2]))
 
 
 def check_leibniz(cfg, rng):
@@ -230,7 +253,7 @@ def check_leibniz(cfg, rng):
         return coboundary(cup(U, V)) - (
             cup(coboundary(U), V) + cup(hat, coboundary(V)))
     win = Window(cfg.window)
-    for size in (3,) if 3 * math.prod(win.n) <= LEIBNIZ_SITES else (1, 1, 1):
+    for size in (3,) if 3 * math.prod(win.n) <= JOIN_SITES else (1, 1, 1):
         yield _side_by_side(1, residual, *zip(*(
             _random_forms(rng, (*range(5), *range(5)), win)
             for _ in range(size))))
@@ -263,12 +286,12 @@ def check_adjointness(cfg, rng):
     outer = Window(cfg.window)
     inner = Window(tuple(x - 2 for x in cfg.window))
     for degree in range(4):
-        for _ in range(5):
-            u, v = _random_forms(rng, (degree, degree + 1), inner,
-                                 (2, 2, 2, 2))
-            lhs = inner_product(coboundary(u), v, outer)
-            rhs = inner_product(u, codifferential(v), outer)
-            yield abs(lhs - rhs)
+        for size in (5,) if 5 * math.prod(inner.n) <= JOIN_SITES else (1,) * 5:
+            uv = _random_forms(rng, (degree, degree + 1) * size, inner,
+                               (2, 2, 2, 2))
+            yield np.max(_dual_gaps(
+                1, lambda u, v: inner_product(u, v, outer), coboundary,
+                codifferential, uv[::2], uv[1::2]))
 
 
 def check_codifferential_star_route(cfg, rng):

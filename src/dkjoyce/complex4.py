@@ -120,6 +120,11 @@ class Chain:
         return f"Chain({dict(self.terms)!r})"
 
 
+# per blade, the (axis, sign, face) of its boundary as a backward stencil
+_BOUNDARY = {dirs: [(mu, -(-1) ** i, dirs[:i] + dirs[i + 1:])
+                    for i, mu in enumerate(dirs)] for dirs in ALL_BLADES}
+
+
 def boundary(a: Chain) -> Chain:
     """Boundary operator, extended over tensor factors with alternating signs.
 
@@ -128,15 +133,7 @@ def boundary(a: Chain) -> Chain:
     factor flips the sign, so the factor at axis mu contributes with sign
     (-1)**(number of interval factors on axes < mu).
     """
-    pieces = []
-    for p in a.form.parts:
-        for s, dirs in p.live():
-            for i, mu in enumerate(dirs):
-                nd = dirs[:i] + dirs[i + 1:]
-                up = _forms._shifted(p.origin, (mu,), 1)
-                pieces += [(nd, (-1) ** i, up, p.data[s]),
-                           (nd, -(-1) ** i, p.origin, p.data[s])]
-    return Chain.from_form(_forms._assemble(pieces))
+    return Chain.from_form(_forms._stencil(a.form, _BOUNDARY, False))
 
 
 def pair(a: Chain, w) -> complex:

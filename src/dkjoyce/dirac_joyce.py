@@ -12,20 +12,19 @@ Two independent evaluation paths are kept deliberately:
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
-from .complex4 import _BLADE_TABLE, AXES, BLADE_SLOT
+from .complex4 import BLADE_SLOT
 from .forms import (
     InhomogeneousForm,
     Window,
-    _ALONG,
     _assemble,
     _parts,
+    _routes,
     _stencil_pieces,
 )
 from .clifford import _blade_pieces, blade_rmul
@@ -94,14 +93,10 @@ def _dirac_pieces(O: InhomogeneousForm) -> list:
     sum: over every grade and axis mu, e_mu times the forward difference
     along mu, keeping the grade-raising products, and e_mu times the backward
     difference, keeping the grade-lowering ones."""
-    pieces = []
-    # up = +1: forward difference, raising; up = -1: backward, lowering
-    for w, mu, up in itertools.product(O.parts, AXES, (1, -1)):
-        for dirs, sign, origin, a in _stencil_pieces(w, _ALONG[mu], up > 0):
-            esign, nd = _BLADE_TABLE[((mu,), dirs)]
-            if len(nd) == len(dirs) + up:
-                pieces.append((nd, esign * sign, origin, a))
-    return pieces
+    # up: forward and raising, or backward and lowering; the routes are read
+    # from the blade table at call time, so that a changed entry shows
+    return [p for up in (True, False) for routes in [_routes(up)]
+            for w in O.parts for p in _stencil_pieces(w, routes, up)]
 
 
 def decomposition(O: InhomogeneousForm) -> InhomogeneousForm:

@@ -13,7 +13,9 @@ Every operator sums signed, shifted blade slices (:func:`_accumulate`) whose
 signs come from the blade product table of :mod:`dkjoyce.complex4`: d is the
 grade-raising part of sum_mu e_mu Delta+_mu, delta the grade-lowering part
 of sum_mu e_mu Delta-_mu, a cup sign is the Clifford sign of two disjoint
-blades, and the Hodge star sign follows from s cup *s = Q e.
+blades, and the Hodge star sign follows from s cup *s = Q e.  A stencil of
+differences copies a complex128 form once into a zero-padded hull and adds
+whole flat blade rows, one shift being one offset (:func:`_stencil_form`).
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class DiscreteForm:
         return _form(self.degree, self.origin, data)
 
     def __neg__(self) -> "DiscreteForm":
-        return (-1) * self
+        return _form(self.degree, self.origin, -self.data)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteForm) or self.degree != other.degree:
@@ -200,6 +202,10 @@ def _sum(u: DiscreteForm, v: DiscreteForm, sign: int) -> DiscreteForm:
     """u + sign * v."""
     if u.degree != v.degree:
         raise ValueError("cannot add forms of different degree")
+    if u.origin == v.origin and u.data.shape == v.data.shape \
+            and u.data.dtype == v.data.dtype:
+        return _form(u.degree, u.origin,
+                     u.data + v.data if sign > 0 else u.data - v.data)
     return _accumulate(u.degree, [(blade, y, w.origin, w.data[s])
                                   for w, y in ((u, 1), (v, sign))
                                   for s, blade in w.live()])
@@ -316,6 +322,9 @@ class InhomogeneousForm:
     def __rmul__(self, scalar) -> "InhomogeneousForm":
         return InhomogeneousForm([scalar * p for p in self.parts])
 
+    def __neg__(self) -> "InhomogeneousForm":
+        return InhomogeneousForm([-p for p in self.parts])
+
     def __eq__(self, other) -> bool:
         return isinstance(other, InhomogeneousForm) and self.parts == other.parts
 
@@ -393,27 +402,59 @@ _ALONG = [{dirs: [(mu, 1, dirs)] for dirs in ALL_BLADES} for mu in AXES]
 
 
 def _stencil_pieces(w: DiscreteForm, routes: dict, forward: bool) -> list:
-    """The :func:`_accumulate` pieces of a stencil over ``w``."""
+    """The :func:`_accumulate` pieces of a stencil over ``w``: two slices per
+    route of an object form, one hull-sized slice per image blade else."""
+    if w.data.dtype != object:
+        f = _stencil_form(w, routes, forward)
+        return [] if f is None else [
+            (blade, 1, f.origin, f.data[s]) for s, blade in f.live()]
     # forward: f(k + e_mu) - f(k) at k, so f(k) lands at k and k - e_mu;
     # backward: f(k) - f(k - e_mu) at k, so f(k) lands at k and k + e_mu
     step = -1 if forward else 1
-    pieces = []
-    for s, dirs in w.live():
-        for mu, sign, nd in routes[dirs]:
-            near = _shifted(w.origin, (mu,), step)
-            pieces += [(nd, sign * step, w.origin, w.data[s]),
-                       (nd, -sign * step, near, w.data[s])]
-    return pieces
+    return [p for s, dirs in w.live() for mu, sign, nd in routes.get(dirs, ())
+            for p in ((nd, sign * step, w.origin, w.data[s]),
+                      (nd, -sign * step, _shifted(w.origin, (mu,), step),
+                       w.data[s]))]
+
+
+def _stencil_form(w: DiscreteForm, routes: dict, forward: bool):
+    """The stencil over ``w``, whose routes share one image degree, as one
+    form; None if no route leaves a blade of ``w``."""
+    live = [(s, routes.get(dirs, ())) for s, dirs in w.live()]
+    if not (images := {nd for _, rs in live for _, _, nd in rs}):
+        return None
+    degree = len(min(images))
+    if w.data.dtype == object:
+        return _accumulate(degree, _stencil_pieces(w, routes, forward))
+    # w is copied once into the zero-padded hull of its shifts: a shift along
+    # mu is an offset by mu's stride in each flat blade row, and what wraps
+    # across a row boundary reads padding.  Routes add in the slices' order
+    step, axes = -1 if forward else 1, {r[0] for _, rs in live for r in rs}
+    shape = [n + (mu in axes) for mu, n in enumerate(w.data.shape[1:])]
+    pad = np.zeros((len(live), *shape), complex)
+    at = [int(forward and mu in axes) for mu in AXES]
+    pad[(slice(None), *map(slice, at, map(operator.add, at, w.data.shape[
+        1:])))] = w.data
+    out = np.zeros((len(GRADE_BLADES[degree]), pad[0].size), complex)
+    for (_, rs), a in zip(live, pad.reshape(len(live), -1)):
+        for mu, sign, nd in rs:
+            row, k = out[BLADE_SLOT[nd]], math.prod(shape[mu + 1:])
+            near = (row[:-k], a[k:]) if forward else (row[k:], a[:-k])
+            for view, b, x in ((row, a, sign * step), (*near, -sign * step)):
+                (np.add if x > 0 else np.subtract)(view, b, out=view)
+    return _form(degree, _shifted(w.origin, axes, min(step, 0)),
+                 out.reshape(-1, *shape))
 
 
 def _stencil(w, routes: dict, forward: bool, shift: int = 0):
-    """The stencil summed over every part of ``w``; a discrete form maps to
-    degree + ``shift``, clamped to 0..4 (where the image is zero)."""
-    pieces = [p for part in _parts(w)
-              for p in _stencil_pieces(part, routes, forward)]
-    if isinstance(w, InhomogeneousForm):
-        return _assemble(pieces)
-    return _accumulate(min(max(w.degree + shift, 0), 4), pieces)
+    """The stencil of every part of ``w``; a discrete form maps to degree +
+    ``shift``, clamped to 0..4 (where the image is zero)."""
+    parts = list(_ZERO)
+    for f in filter(None, (_stencil_form(p, routes, forward)
+                           for p in _parts(w))):
+        parts[f.degree] = f
+    return InhomogeneousForm(parts) if isinstance(w, InhomogeneousForm) \
+        else parts[min(max(w.degree + shift, 0), 4)]
 
 
 def forward_diff(w: DiscreteForm, mu: int) -> DiscreteForm:
@@ -546,5 +587,5 @@ def laplacian(w):
     dd = coboundary(codifferential(w))
     sd = codifferential(coboundary(w))
     if isinstance(w, DiscreteForm) and w.degree in (0, 4):
-        return (-1) * (sd if w.degree == 0 else dd)
-    return (-1) * (dd + sd)
+        return -(sd if w.degree == 0 else dd)
+    return -(dd + sd)

@@ -12,11 +12,13 @@ import numpy as np
 
 from dkjoyce import (
     ALL_BLADES,
+    Chain,
     DiscreteForm,
     GaussianRational,
     InhomogeneousForm,
     Window,
     blade_product,
+    boundary,
     clifford_mul,
     coboundary,
     codifferential,
@@ -26,8 +28,10 @@ from dkjoyce import (
     dk_system_residual,
     forms,
     hodge_star,
+    inner_product,
     joyce_residual_form,
     joyce_system_residual,
+    pair,
     star_d_star,
     unit_form,
 )
@@ -460,14 +464,50 @@ def nilpotency_delta_per_case(cfg, rng):
                            AXIS_SETS[degree])
 
 
+def _batch_sizes(cases, win):
+    """The check's batches of ``cases`` random cases on ``win``: one while
+    they fit in the join budget, else one per case.  The budget is read at
+    call time, so that a test can change it here and in the checks at
+    once."""
+    joined = cases * math.prod(win.n) <= cli.JOIN_SITES
+    return (cases,) if joined else (1,) * cases
+
+
+def pairing_duality_per_case(cfg, rng):
+    # each case drawn alone, as five draws of one case each
+    win = Window(cfg.window)
+    for degree in range(1, 5):
+        for size in _batch_sizes(5, win):
+            batch = []
+            for _ in range(size):
+                c, w = _random_forms(rng, (degree, degree - 1), win)
+                a = Chain.from_form(InhomogeneousForm.from_form(c))
+                batch.append(abs(pair(boundary(a), w)
+                                 - pair(a, coboundary(w))))
+            yield batch
+
+
+def adjointness_per_case(cfg, rng):
+    outer = Window(cfg.window)
+    inner = Window(tuple(x - 2 for x in cfg.window))
+    for degree in range(4):
+        for size in _batch_sizes(5, inner):
+            batch = []
+            for _ in range(size):
+                u, v = _random_forms(rng, (degree, degree + 1), inner,
+                                     (2, 2, 2, 2))
+                lhs = inner_product(coboundary(u), v, outer)
+                rhs = inner_product(u, codifferential(v), outer)
+                batch.append(abs(lhs - rhs))
+            yield batch
+
+
 def leibniz_per_case(cfg, rng):
     # the graded rule on U and V drawn as the check draws them, summed by
     # degree from the 15 homogeneous (r, q) residuals of degree-r and
-    # degree-q cups; the budget is read at call time, so that a test can
-    # change it here and in the check at once
+    # degree-q cups
     win = Window(cfg.window)
-    joined = 3 * math.prod(win.n) <= cli.LEIBNIZ_SITES
-    for size in (3,) if joined else (1, 1, 1):
+    for size in _batch_sizes(3, win):
         batch = []
         for _ in range(size):
             w = _random_forms(rng, (*range(5), *range(5)), win)
@@ -535,10 +575,12 @@ def joyce_system_per_case(cfg, rng):
 PER_CASE_CHECKS = {
     "sec2-nilpotency-d": nilpotency_d_per_case,
     "sec2-nilpotency-delta": nilpotency_delta_per_case,
+    "eq2.6-pairing-duality": pairing_duality_per_case,
     "eq2.15-leibniz": leibniz_per_case,
     "sec2-star-inverse": star_inverse_per_case,
     "eq2.26-codifferential-star": codifferential_star_per_case,
     "sec2-star-d-star-shift": star_d_star_shift_per_case,
+    "eq2.25-adjointness": adjointness_per_case,
     "sec3-clifford-unit": clifford_unit_per_case,
     "eq3.6-decomposition": decomposition_per_case,
     "eq3.3-dk-system-consistency": dk_system_per_case,

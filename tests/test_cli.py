@@ -559,11 +559,16 @@ def test_batched_star_checks_count_the_failing_blades(monkeypatch, table,
 # ---------------------------------------------------------------------------
 # checks that run their cases in batches report what the cases give alone
 
+#: the bilinear checks that pair each case's own sites of one operator call
+#: on their cases side by side
+DUAL_CHECKS = ["eq2.25-adjointness", "eq2.6-pairing-duality"]
 #: the linear checks, which run on one unit impulse per blade
-IMPULSE_CHECKS = sorted(set(PER_CASE_CHECKS) - {"eq2.15-leibniz"})
-#: the checks that lay their cases side by side; the Clifford unit's
-#: impulses sit on distinct sites of its 3^4 window instead
-SIDE_BY_SIDE = sorted(set(PER_CASE_CHECKS) - {"sec3-clifford-unit"})
+IMPULSE_CHECKS = sorted(set(PER_CASE_CHECKS) - {"eq2.15-leibniz",
+                                                *DUAL_CHECKS})
+#: the checks that lay their cases side by side in one residual; the
+#: Clifford unit's impulses sit on distinct sites of its 3^4 window instead
+SIDE_BY_SIDE = sorted(set(PER_CASE_CHECKS) - {"sec3-clifford-unit",
+                                              *DUAL_CHECKS})
 
 
 def _negate_last_axis_blades(op):
@@ -579,17 +584,17 @@ def _negate_last_axis_blades(op):
 def _flip_last_axis_routes(monkeypatch):
     # a wrong sign on the axis the cases lie along, so that the residuals
     # are nonzero and differ from case to case: the routes of d from the
-    # 1-forms and of delta from the 2-forms, every plain difference (the
-    # operator route of d + delta), the unit's product with e_3 (the
-    # Clifford unit, the DK table's mass term), and, since the inverse star
-    # is the star's row inverse from the same signs, the inverse star itself,
-    # wherever the checks and their per-case loops read it
-    for routes, degree in ((forms._RAISE, 1), (forms._LOWER, 2)):
+    # 1-forms and of delta from the 2-forms and the 3-forms (the last so that
+    # d and delta are not adjoint on 2-forms), the unit's product with e_3
+    # (the Clifford unit, the DK table's mass term, the operator route of
+    # d + delta from the 0-forms), and, since the inverse star is the star's
+    # row inverse from the same signs, the inverse star itself, wherever the
+    # checks and their per-case loops read it
+    for routes, degree in ((forms._RAISE, 1), (forms._LOWER, 2),
+                           (forms._LOWER, 3)):
         for dirs in GRADE_BLADES[degree]:
             monkeypatch.setitem(routes, dirs, [
                 (mu, -s if mu == 3 else s, nd) for mu, s, nd in routes[dirs]])
-    for d in ALL_BLADES:
-        monkeypatch.setitem(forms._ALONG[3], d, [(3, -1, d)])
     for key in (((), (3,)), ((3,), ())):
         monkeypatch.setitem(_BLADE_TABLE, key, (-1, (3,)))
     inverse = _negate_last_axis_blades(forms.hodge_star_inverse)
@@ -597,10 +602,16 @@ def _flip_last_axis_routes(monkeypatch):
         monkeypatch.setattr(module, "hodge_star_inverse", inverse)
 
 
-def _leibniz_alone(monkeypatch, alone):
-    """With ``alone``, a Leibniz batch holds one case at every window."""
+def _cases_alone(monkeypatch, alone):
+    """With ``alone``, a batch of random cases holds one case at every
+    window."""
     if alone:
-        monkeypatch.setattr(cli, "LEIBNIZ_SITES", 0)
+        monkeypatch.setattr(cli, "JOIN_SITES", 0)
+
+
+#: per check with random cases, its batches with the cases joined and alone
+BATCHES = {"eq2.15-leibniz": (1, 3), "eq2.6-pairing-duality": (4, 20),
+           "eq2.25-adjointness": (4, 20)}
 
 
 @pytest.mark.parametrize("alone", [False, True], ids=["joined", "alone"])
@@ -613,7 +624,7 @@ def test_side_by_side_checks_equal_their_per_case_loops(monkeypatch, seed,
     # one gap per batch of cases: the largest of the batch's own gaps
     if flipped:
         _flip_last_axis_routes(monkeypatch)
-    _leibniz_alone(monkeypatch, alone)
+    _cases_alone(monkeypatch, alone)
     cfg = SuiteConfig(suite="identities", window=window, seed=seed)
     for name, per_case in PER_CASE_CHECKS.items():
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -621,8 +632,8 @@ def test_side_by_side_checks_equal_their_per_case_loops(monkeypatch, seed,
         assert list(IDENTITY_CHECKS[name][0](cfg, fast)) == want
         assert fast.bit_generator.state == slow.bit_generator.state
         assert any(want) == flipped
-        if name == "eq2.15-leibniz":  # three cases, joined below the budget
-            assert len(want) == (3 if alone else 1)
+        if name in BATCHES:  # random cases, joined below the budget
+            assert len(want) == BATCHES[name][alone]
 
 
 @pytest.mark.parametrize("flipped", [False, True])
@@ -714,7 +725,7 @@ def _nan_sites(w):
 
 @pytest.mark.parametrize("alone", [False, True], ids=["joined", "alone"])
 @pytest.mark.parametrize("window", [(3, 3, 3, 3), (5, 4, 3, 6)])
-@pytest.mark.parametrize("name", SIDE_BY_SIDE)
+@pytest.mark.parametrize("name", SIDE_BY_SIDE + DUAL_CHECKS)
 def test_a_nan_case_changes_only_its_own_gap(monkeypatch, window, name,
                                              alone):
     # the middle case of one batch, the second if there are two, is NaN on
@@ -723,14 +734,37 @@ def test_a_nan_case_changes_only_its_own_gap(monkeypatch, window, name,
     # on no site a neighbour's reach; one site closer, in some batch of more
     # than one case they do, so that each gap is the least that keeps the
     # cases apart.  Leibniz's three cases make one batch when joined, so
-    # only with its cases alone are there other batches to compare
+    # only with its cases alone are there other batches to compare.  The
+    # dual checks read each case's gap from its own sites: there a NaN case
+    # must turn only its own gap NaN, and one site closer a neighbour's too
     _flip_last_axis_routes(monkeypatch)
-    _leibniz_alone(monkeypatch, alone)
+    _cases_alone(monkeypatch, alone)
     cfg = SuiteConfig(suite="identities", window=window)
     check = IDENTITY_CHECKS[name][0]
     clean = list(check(cfg, np.random.default_rng(0)))
     batch = min(1, len(clean) - 1)
     side_by_side, calls, met = cli._side_by_side, itertools.count(), []
+    dual_gaps = cli._dual_gaps
+
+    def poisoned_dual(gap, pairing, op, adjoint, xs, ys):
+        cases = len(xs)
+
+        def with_nan(c):
+            return [[_nan(w) if i == c else w for i, w in enumerate(ws)]
+                    for ws in (xs, ys)]
+
+        def nan_gaps(c, apart):
+            return np.isnan(dual_gaps(apart, pairing, op, adjoint,
+                                      *with_nan(c))).tolist()
+
+        for c in range(cases):
+            assert nan_gaps(c, gap) == [b == c for b in range(cases)]
+        if gap and cases > 1:
+            met.append(any(sum(nan_gaps(c, gap - 1)) > 1
+                           for c in range(cases)))
+        if next(calls) == batch:
+            xs, ys = with_nan(cases // 2)
+        return dual_gaps(gap, pairing, op, adjoint, xs, ys)
 
     def poisoned(gap, residual, *inputs):
         cases, width = len(inputs[0]), inputs[0][0].data.shape[-1]
@@ -764,7 +798,10 @@ def test_a_nan_case_changes_only_its_own_gap(monkeypatch, window, name,
             inputs = with_nan(cases // 2)
         return side_by_side(gap, residual, *inputs)
 
-    monkeypatch.setattr(cli, "_side_by_side", poisoned)
+    if name in DUAL_CHECKS:
+        monkeypatch.setattr(cli, "_dual_gaps", poisoned_dual)
+    else:
+        monkeypatch.setattr(cli, "_side_by_side", poisoned)
     gaps = list(check(cfg, np.random.default_rng(0)))
     assert np.isnan(gaps[batch]) and not np.isnan(clean[batch])
     assert gaps[:batch] + gaps[batch + 1:] == clean[:batch] + clean[batch + 1:]

@@ -41,8 +41,9 @@ from dkjoyce import (
     records_to_form,
     star_d_star,
 )
-from dkjoyce import forms
+from dkjoyce import complex4, forms
 from dkjoyce.complex4 import AXES, tau_all
+from dkjoyce.dirac_joyce import DK_SYSTEM
 from dkjoyce.forms import MAX_LOAD_SITES, STAR_SIGN, _form
 from dkjoyce.planewave import FAMILY_SIGN
 
@@ -461,6 +462,24 @@ def test_eq_holds_on_infinite_values():
     assert w == w and w != DiscreteForm.basis((1, 1, 1, 1), (0,), 1)
 
 
+@pytest.mark.filterwarnings("error")
+def test_negation_flips_every_sign_and_nothing_else():
+    # -w negates the stored array: an infinite part stays infinite and the
+    # other part keeps its value, zeros and NaNs flip sign as well, and no
+    # product with -1 warns; exact coefficients stay exact
+    values = [complex("inf"), complex(0, -np.inf), complex(np.nan, 2), 3j]
+    w = DiscreteForm(1, {((1, 1, 1, i), (2,)): c
+                         for i, c in enumerate(values)})
+    for got in (-w, (-InhomogeneousForm.from_form(w)).part(1)):
+        assert got.origin == w.origin
+        flipped = got.data.view(np.uint64) ^ w.data.view(np.uint64)
+        assert (flipped == 1 << 63).all()
+    q = GaussianRational(Fraction(1, 3), -2)
+    got = (-DiscreteForm.basis((0, 0, 0, 0), (1, 3), q)).get(((0, 0, 0, 0),
+                                                               (1, 3)))
+    assert isinstance(got, GaussianRational) and got == -q
+
+
 @pytest.mark.parametrize("first, second", [(1.0, np.nan), (np.nan, 1.0)])
 def test_max_norm_propagates_nan(first, second):
     # a NaN grade after a finite one, and the other way round
@@ -524,6 +543,76 @@ def _forms(draw, degree, exact):
         far = k[mu] + draw(st.sampled_from((-20, 20)))
         keys[-1] = (k[:mu] + (far,) + k[mu + 1:], dirs)
     return DiscreteForm(degree, {key: draw(_scalars(exact)) for key in keys})
+
+
+def _push_routes(kind):
+    """The routes of ``_push_diffs`` over every DK_SYSTEM row, of ``kind``."""
+    routes = {}
+    for target, terms in DK_SYSTEM.items():
+        for sign, k, mu, src in terms:
+            if k == kind:
+                routes.setdefault(src, []).append((mu, sign, target))
+    return routes
+
+
+#: every route table a stencil runs on
+ROUTE_TABLES = {
+    "raise": forms._RAISE, "lower": forms._LOWER,
+    **{f"along {mu}": forms._ALONG[mu] for mu in AXES},
+    "chain boundary": complex4._BOUNDARY,
+    "push +": _push_routes("+"), "push -": _push_routes("-"),
+}
+SPECIAL = [complex("nan"), complex("inf"), complex(0, -np.inf),
+           complex(np.inf, np.nan), complex(-np.inf, 1)]
+
+
+@st.composite
+def _stencil_sources(draw):
+    """A complex form: sparse, empty or on one site, its box now and then
+    filled, its values scaled to magnitudes 1e-8..1e8 so that the order of
+    a sum shows in its rounding, and now and then an entry of its box (zero
+    or not) NaN or infinite."""
+    degree = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["sparse", "empty", "one site"]))
+    if kind == "empty":
+        w = DiscreteForm.zero(degree)
+    elif kind == "one site":
+        w = DiscreteForm.basis(draw(st.tuples(*[st.integers(-40, 40)] * 4)),
+                               draw(st.sampled_from(AXIS_SETS[degree])),
+                               draw(_scalars(False)) or 1)
+    else:
+        w = draw(_forms(degree, exact=False))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    data = w.data + draw(st.booleans()) * rng.uniform(-1, 1, w.data.shape)
+    data *= 10.0 ** rng.integers(-8, 9, w.data.shape)
+    for i in draw(st.lists(st.integers(0, data.size - 1), max_size=3)) \
+            if data.size else ():
+        data.reshape(-1)[i] = draw(st.sampled_from(SPECIAL))
+    return _form(degree, w.origin, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stencil_sources(), st.sampled_from(sorted(ROUTE_TABLES)),
+       st.booleans())
+def test_stencil_kernel_equals_the_per_slice_path(w, table, forward):
+    # the flat kernel against the per-slice path on the same values as
+    # Python complex objects: the same origin and box, and bit for bit the
+    # same coefficients, NaN where the other has NaN
+    routes = ROUTE_TABLES[table]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got = forms._stencil_form(w, routes, forward)
+        want = forms._stencil_form(_form(w.degree, w.origin, w.data.astype(
+            object)), routes, forward)
+    if want is None:
+        assert got is None
+        return
+    assert (got.degree, got.origin, got.data.shape) \
+        == (want.degree, want.origin, want.data.shape)
+    assert got.data.dtype == complex and want.data.dtype == object
+    a, b = got.data.view(float), want.data.astype(complex).view(float)
+    nan = np.isnan(a)
+    assert (nan == np.isnan(b)).all()
+    assert (a.view(np.uint64)[~nan] == b.view(np.uint64)[~nan]).all()
 
 
 @st.composite
