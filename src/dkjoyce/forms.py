@@ -14,8 +14,8 @@ signs come from the blade product table of :mod:`dkjoyce.complex4`: d is the
 grade-raising part of sum_mu e_mu Delta+_mu, delta the grade-lowering part
 of sum_mu e_mu Delta-_mu, a cup sign is the Clifford sign of two disjoint
 blades, and the Hodge star sign follows from s cup *s = Q e.  A stencil of
-differences copies a complex128 form once into a zero-padded hull and adds
-whole flat blade rows, one shift being one offset (:func:`_stencil_form`).
+differences copies a form of either dtype once into a zero-padded hull and
+adds whole flat blade rows, one shift being one offset (:func:`_stencil_form`).
 """
 
 from __future__ import annotations
@@ -402,19 +402,11 @@ _ALONG = [{dirs: [(mu, 1, dirs)] for dirs in ALL_BLADES} for mu in AXES]
 
 
 def _stencil_pieces(w: DiscreteForm, routes: dict, forward: bool) -> list:
-    """The :func:`_accumulate` pieces of a stencil over ``w``: two slices per
-    route of an object form, one hull-sized slice per image blade else."""
-    if w.data.dtype != object:
-        f = _stencil_form(w, routes, forward)
-        return [] if f is None else [
-            (blade, 1, f.origin, f.data[s]) for s, blade in f.live()]
-    # forward: f(k + e_mu) - f(k) at k, so f(k) lands at k and k - e_mu;
-    # backward: f(k) - f(k - e_mu) at k, so f(k) lands at k and k + e_mu
-    step = -1 if forward else 1
-    return [p for s, dirs in w.live() for mu, sign, nd in routes.get(dirs, ())
-            for p in ((nd, sign * step, w.origin, w.data[s]),
-                      (nd, -sign * step, _shifted(w.origin, (mu,), step),
-                       w.data[s]))]
+    """The :func:`_accumulate` pieces of a stencil over ``w``: one hull-sized
+    slice per image blade."""
+    f = _stencil_form(w, routes, forward)
+    return [] if f is None else [
+        (blade, 1, f.origin, f.data[s]) for s, blade in f.live()]
 
 
 def _stencil_form(w: DiscreteForm, routes: dict, forward: bool):
@@ -424,18 +416,16 @@ def _stencil_form(w: DiscreteForm, routes: dict, forward: bool):
     if not (images := {nd for _, rs in live for _, _, nd in rs}):
         return None
     degree = len(min(images))
-    if w.data.dtype == object:
-        return _accumulate(degree, _stencil_pieces(w, routes, forward))
-    # w is copied once into the zero-padded hull of its shifts: a shift along
-    # mu is an offset by mu's stride in each flat blade row, and what wraps
-    # across a row boundary reads padding.  Routes add in the slices' order
+    # w is copied once into the zero-padded hull of its shifts; a shift along
+    # mu is an offset by mu's stride in a flat blade row, what wraps reads
+    # padding.  Routes add in order, each at the origin and then shifted
     step, axes = -1 if forward else 1, {r[0] for _, rs in live for r in rs}
     shape = [n + (mu in axes) for mu, n in enumerate(w.data.shape[1:])]
-    pad = np.zeros((len(live), *shape), complex)
+    pad = np.zeros((len(live), *shape), w.data.dtype)
     at = [int(forward and mu in axes) for mu in AXES]
     pad[(slice(None), *map(slice, at, map(operator.add, at, w.data.shape[
         1:])))] = w.data
-    out = np.zeros((len(GRADE_BLADES[degree]), pad[0].size), complex)
+    out = np.zeros((len(GRADE_BLADES[degree]), pad[0].size), w.data.dtype)
     for (_, rs), a in zip(live, pad.reshape(len(live), -1)):
         for mu, sign, nd in rs:
             row, k = out[BLADE_SLOT[nd]], math.prod(shape[mu + 1:])

@@ -1,9 +1,10 @@
 """Shared test helpers: seeded random forms over both scalar types, the
 closed-form Joyce residual of the plane-wave families, the transcribed
 amplitude system and family patterns, and the one-coefficient-at-a-time
-oracles of the box paths: the row-by-row record loader, the dict chains and
-the dict table systems, and the one-case-at-a-time loops of the identity
-checks that run their cases in batches."""
+oracles of the box paths: the per-slice stencil, the row-by-row record
+loader, the dict chains and the dict table systems, and the
+one-case-at-a-time loops of the identity checks that run their cases in
+batches."""
 
 import itertools
 import math
@@ -277,6 +278,24 @@ def family_residual_oracle(which, coeffs, p, m, win: Window):
             for blade, s in S.items():
                 out[(k, blade)] = out.get((k, blade), 0) + psi * s
     return InhomogeneousForm.from_coeffs(out)
+
+
+# ---------------------------------------------------------------------------
+# the per-slice stencil: the oracle of the flat kernel forms._stencil_form
+
+def stencil_per_slice(w: DiscreteForm, routes, forward):
+    """What ``forms._stencil_form`` computes, as two blade slices per route
+    summed by ``forms._accumulate``; None if no route leaves a blade of
+    ``w``."""
+    # forward: f(k + e_mu) - f(k) at k, so f(k) lands at k and k - e_mu;
+    # backward: f(k) - f(k - e_mu) at k, so f(k) lands at k and k + e_mu
+    step = -1 if forward else 1
+    pieces = [p for s, dirs in w.live()
+              for mu, sign, nd in routes.get(dirs, ())
+              for p in ((nd, sign * step, w.origin, w.data[s]),
+                        (nd, -sign * step,
+                         forms._shifted(w.origin, (mu,), step), w.data[s]))]
+    return forms._accumulate(len(pieces[0][0]), pieces) if pieces else None
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ from helpers import (
     random_inhomogeneous,
     rng_for,
     sigma_shift,
+    stencil_per_slice,
     tau_shift,
 )
 
@@ -568,47 +569,58 @@ SPECIAL = [complex("nan"), complex("inf"), complex(0, -np.inf),
 
 @st.composite
 def _stencil_sources(draw):
-    """A complex form: sparse, empty or on one site, its box now and then
-    filled, its values scaled to magnitudes 1e-8..1e8 so that the order of
-    a sum shows in its rounding, and now and then an entry of its box (zero
-    or not) NaN or infinite."""
-    degree = draw(st.integers(0, 4))
+    """A complex or an exact form, sparse, empty or on one site, and whether
+    it is exact.  A complex one has its box now and then filled, its values
+    scaled to magnitudes 1e-8..1e8 so that the order of a sum shows in its
+    rounding, and now and then an entry of its box (zero or not) NaN or
+    infinite."""
+    exact, degree = draw(st.booleans()), draw(st.integers(0, 4))
     kind = draw(st.sampled_from(["sparse", "empty", "one site"]))
     if kind == "empty":
         w = DiscreteForm.zero(degree)
     elif kind == "one site":
         w = DiscreteForm.basis(draw(st.tuples(*[st.integers(-40, 40)] * 4)),
                                draw(st.sampled_from(AXIS_SETS[degree])),
-                               draw(_scalars(False)) or 1)
+                               draw(_scalars(exact))
+                               or (GaussianRational(1) if exact else 1))
     else:
-        w = draw(_forms(degree, exact=False))
+        w = draw(_forms(degree, exact))
+    if exact:  # an empty box, too, as an object array
+        return _form(degree, w.origin, w.data.astype(object)), True
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
     data = w.data + draw(st.booleans()) * rng.uniform(-1, 1, w.data.shape)
     data *= 10.0 ** rng.integers(-8, 9, w.data.shape)
     for i in draw(st.lists(st.integers(0, data.size - 1), max_size=3)) \
             if data.size else ():
         data.reshape(-1)[i] = draw(st.sampled_from(SPECIAL))
-    return _form(degree, w.origin, data)
+    return _form(degree, w.origin, data), False
 
 
 @settings(max_examples=200, deadline=None)
 @given(_stencil_sources(), st.sampled_from(sorted(ROUTE_TABLES)),
        st.booleans())
-def test_stencil_kernel_equals_the_per_slice_path(w, table, forward):
-    # the flat kernel against the per-slice path on the same values as
-    # Python complex objects: the same origin and box, and bit for bit the
-    # same coefficients, NaN where the other has NaN
+def test_stencil_kernel_equals_the_per_slice_path(case, table, forward):
+    # the flat kernel against the per-slice oracle: the same origin and box;
+    # on exact values the same coefficients, each nonzero one exact; on
+    # complex values, with the oracle run on them as Python complex objects,
+    # bit for bit the same coefficients, NaN where the other has NaN
+    w, exact = case
     routes = ROUTE_TABLES[table]
     with np.errstate(invalid="ignore"):  # inf - inf
         got = forms._stencil_form(w, routes, forward)
-        want = forms._stencil_form(_form(w.degree, w.origin, w.data.astype(
-            object)), routes, forward)
+        want = stencil_per_slice(w if exact else _form(
+            w.degree, w.origin, w.data.astype(object)), routes, forward)
     if want is None:
         assert got is None
         return
     assert (got.degree, got.origin, got.data.shape) \
         == (want.degree, want.origin, want.data.shape)
-    assert got.data.dtype == complex and want.data.dtype == object
+    assert want.data.dtype == object
+    if exact:
+        assert got.data.dtype == object and got == want
+        assert all(isinstance(c, GaussianRational) for _, c in got.items())
+        return
+    assert got.data.dtype == complex
     a, b = got.data.view(float), want.data.astype(complex).view(float)
     nan = np.isnan(a)
     assert (nan == np.isnan(b)).all()

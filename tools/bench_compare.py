@@ -9,7 +9,9 @@ For every workload the script runs ten pairs of ``--trace 0`` runs with seeds
 1..10, alternating which side goes first, then three pairs on the hold-out
 seed 9973, then one ``--trace 1 --seed 1`` run per side.  It writes every run, per-side medians
 and quartiles, the pairs each side won, the git SHAs and the Python and
-numpy versions.  It runs one benchmark process at a time.
+numpy versions.  It runs one benchmark process at a time.  Having written
+the file, it exits 1 and names on stderr each run whose result reads
+``failed > 0`` or ``"correct": false``, else it exits 0.
 """
 
 from __future__ import annotations
@@ -108,6 +110,19 @@ def compare(runs: list) -> dict:
     return out
 
 
+def bad_runs(workloads: dict) -> list:
+    """(side, workload, seed, trace) of every run in ``workloads`` whose
+    result reads ``failed > 0`` or ``"correct": false``."""
+    out = []
+    for w, rec in workloads.items():
+        runs = [(side, pair[side], 0) for pair in rec["runs"]
+                + rec["holdout_runs"] for side in ("parent", "change")]
+        runs += [(side, r, 1) for side, r in rec["trace_seed_1"].items()]
+        out += [(side, w, r["seed"], trace) for side, r, trace in runs
+                if r["failed"] > 0 or not r["correct"]]
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
@@ -144,7 +159,11 @@ def main(argv=None) -> int:
         "workloads": workloads,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
-    return 0
+    bad = bad_runs(workloads)
+    for side, w, seed, trace in bad:
+        print(f"{side} {w} seed {seed} trace {trace}: result does not match "
+              f"the reference", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
