@@ -7,8 +7,8 @@ distinct sites multiply to zero, so products are computed sitewise.
 
 Unit forms (coefficient 1 on every site of a window) turn the blade algebra
 into the algebra of inhomogeneous forms; :func:`blade_lmul` and
-:func:`blade_rmul` apply an implicit unit blade on every site instead.  The
-signs come from the one table in :mod:`dkjoyce.complex4`.
+:func:`blade_rmul` apply an implicit unit blade on every site as a sitewise
+stencil.  The signs come from the one table in :mod:`dkjoyce.complex4`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .complex4 import _BLADE_TABLE, normalize_dirs
 from .complex4 import ALL_BLADES, blade_product  # noqa: F401  (re-exported)
 from .forms import DiscreteForm, InhomogeneousForm, Window, _assemble, \
-    _overlap, _parts
+    _overlap, _stencil
 
 
 def clifford_basis_product(a_key, b_key) -> Optional[Tuple[int, tuple]]:
@@ -56,27 +56,23 @@ def clifford_mul(
     return _assemble(pieces)
 
 
-def _blade_pieces(A, blade, left: bool, scalar) -> list:
-    """The :func:`_assemble` pieces of every stored blade slice of ``A``
-    multiplied by ``blade`` on the left (or right) and by ``scalar``."""
+def _blade_term(A, blade, left: bool, scalar=1) -> tuple:
+    """The :func:`_stencil` term of ``scalar`` times ``A`` multiplied by
+    ``blade`` on the left (or right), its routes read from the blade table
+    when called."""
     blade = normalize_dirs(blade)
-    pieces = []
-    for p in _parts(A):
-        p = p if scalar == 1 else scalar * p
-        for s, d in p.live():
-            sign, nb = _BLADE_TABLE[(blade, d) if left else (d, blade)]
-            pieces.append((nb, sign, p.origin, p.data[s]))
-    return pieces
+    return A if scalar == 1 else scalar * A, {d: [(None, *_BLADE_TABLE[
+        (blade, d) if left else (d, blade)])] for d in ALL_BLADES}, 0
 
 
 def blade_lmul(blade, A, scalar=1):
     """Left-multiply by the implicit unit form of ``blade`` (all sites)."""
-    return _assemble(_blade_pieces(A, blade, True, scalar))
+    return _stencil(_blade_term(A, blade, True, scalar))
 
 
 def blade_rmul(A, blade, scalar=1):
     """Right-multiply by the implicit unit form of ``blade`` (all sites)."""
-    return _assemble(_blade_pieces(A, blade, False, scalar))
+    return _stencil(_blade_term(A, blade, False, scalar))
 
 
 def unit_form(dirs, win: Window) -> InhomogeneousForm:

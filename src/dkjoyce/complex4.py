@@ -133,7 +133,7 @@ def boundary(a: Chain) -> Chain:
     factor flips the sign, so the factor at axis mu contributes with sign
     (-1)**(number of interval factors on axes < mu).
     """
-    return Chain.from_form(_forms._stencil(a.form, _BOUNDARY, False))
+    return Chain.from_form(_forms._stencil((a.form, _BOUNDARY, 1)))
 
 
 def pair(a: Chain, w) -> complex:

@@ -2,9 +2,9 @@
 
 Two independent evaluation paths are kept deliberately:
 
-* the operator route: :func:`decomposition`'s Clifford-difference pieces
-  of sum_mu e_mu Delta+-_mu, each residual summed once with its mass
-  pieces (coboundary + codifferential is the eq3.6 reference), and
+* the operator route: :func:`decomposition`'s route tables of sum_mu e_mu
+  Delta+-_mu, each residual one stencil of them and its sitewise mass
+  table (coboundary + codifferential is the eq3.6 reference), and
 * hard-coded per-site difference systems (16 equations for the full
   Dirac-Kahler equation, 8 for the Joyce equation on even forms),
   transcribed once and cross-validated against the operator in tests.
@@ -18,16 +18,8 @@ from typing import List
 
 import numpy as np
 
-from .complex4 import BLADE_SLOT
-from .forms import (
-    InhomogeneousForm,
-    Window,
-    _assemble,
-    _parts,
-    _routes,
-    _stencil_pieces,
-)
-from .clifford import _blade_pieces, blade_rmul
+from .forms import InhomogeneousForm, Window, _parts, _routes, _stencil
+from .clifford import _blade_term, blade_rmul
 
 
 class NotEven(ValueError):
@@ -88,21 +80,19 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 # operator pipeline
 
-def _dirac_pieces(O: InhomogeneousForm) -> list:
-    """The :func:`_assemble` pieces of (d + delta)O as the Clifford-difference
+def _dirac_terms(O: InhomogeneousForm) -> tuple:
+    """The :func:`_stencil` terms of (d + delta)O as the Clifford-difference
     sum: over every grade and axis mu, e_mu times the forward difference
     along mu, keeping the grade-raising products, and e_mu times the backward
-    difference, keeping the grade-lowering ones."""
-    # up: forward and raising, or backward and lowering; the routes are read
-    # from the blade table at call time, so that a changed entry shows
-    return [p for up in (True, False) for routes in [_routes(up)]
-            for w in O.parts for p in _stencil_pieces(w, routes, up)]
+    difference, keeping the grade-lowering ones, the routes read from the
+    blade table when called."""
+    return (O, _routes(True), -1), (O, _routes(False), 1)
 
 
 def decomposition(O: InhomogeneousForm) -> InhomogeneousForm:
     """Clifford-difference expression for (d + delta), summed once; equals
     coboundary(O) + codifferential(O)."""
-    return _assemble(_dirac_pieces(O))
+    return _stencil(*_dirac_terms(O))
 
 
 def dirac_kahler_apply(O: InhomogeneousForm) -> InhomogeneousForm:
@@ -129,16 +119,15 @@ def joyce_apply_rhs(Oev: InhomogeneousForm, m: float) -> InhomogeneousForm:
 def dk_residual(O: InhomogeneousForm, m: float, win: Window) -> ResidualReport:
     """Residual of the Dirac-Kahler equation: i(d + delta)O - m O."""
     check_mass(m)
-    return ResidualReport.from_form(_assemble(
-        _dirac_pieces(1j * O) + _blade_pieces(O, (), True, -m)), win)
+    return ResidualReport.from_form(_stencil(
+        *_dirac_terms(1j * O), _blade_term(O, (), True, -m)), win)
 
 
 def joyce_residual_form(Oev: InhomogeneousForm, m: float) -> InhomogeneousForm:
     """The raw Joyce residual form i(d + delta)Oev - m Oev e_0 (linear in Oev)."""
     check_mass(m)
     _require_even(Oev)
-    return _assemble(_dirac_pieces(1j * Oev)
-                     + _blade_pieces(Oev, (0,), False, -m))
+    return _stencil(*_dirac_terms(1j * Oev), _blade_term(Oev, (0,), False, -m))
 
 
 def joyce_residual(Oev: InhomogeneousForm, m: float,
@@ -206,31 +195,28 @@ JOYCE_RHS = {
 JOYCE_TARGETS = tuple(JOYCE_RHS)
 
 
-def _push_diffs(O: InhomogeneousForm, targets) -> list:
-    """Pieces for :func:`_assemble` of sign * Delta^kind_mu (source
-    component) over the ``DK_SYSTEM`` terms of ``targets``: a stencil whose
-    routes run from each source component to its targets."""
+def _table_terms(O: InhomogeneousForm, targets) -> list:
+    """The :func:`_stencil` terms of sign * Delta^kind_mu (source component)
+    over the ``DK_SYSTEM`` rows of ``targets``, per part of ``O`` and kind."""
     routes = {"+": defaultdict(list), "-": defaultdict(list)}
     for target in targets:
         for sign, kind, mu, src in DK_SYSTEM[target]:
             routes[kind][src].append((mu, sign, target))
-    return [x for w in O.parts for kind in "+-"
-            for x in _stencil_pieces(w, routes[kind], kind == "+")]
+    return [(w, routes[kind], -1 if kind == "+" else 1)
+            for w in O.parts for kind in "+-"]
 
 
 def dk_system_residual(O: InhomogeneousForm, m: float) -> InhomogeneousForm:
     """Residual of the 16 per-site difference equations (table path)."""
     check_mass(m)
-    return _assemble(_push_diffs(1j * O, DK_SYSTEM)
-                     + _blade_pieces(O, (), True, -m))
+    return _stencil(*_table_terms(1j * O, DK_SYSTEM),
+                    _blade_term(O, (), True, -m))
 
 
 def joyce_system_residual(Oev: InhomogeneousForm, m: float) -> InhomogeneousForm:
     """Residual of the 8 per-site difference equations (table path)."""
     check_mass(m)
     _require_even(Oev)
-    mOev = m * Oev
-    return _assemble(_push_diffs(1j * Oev, JOYCE_TARGETS) + [
-        (target, -sign, p.origin, p.data[BLADE_SLOT[src]])
-        for target, (sign, src) in JOYCE_RHS.items()
-        for p in [mOev.part(len(src))]])
+    return _stencil(*_table_terms(1j * Oev, JOYCE_TARGETS), (m * Oev, {
+        src: [(None, -sign, target)]
+        for target, (sign, src) in JOYCE_RHS.items()}, 0))

@@ -9,13 +9,12 @@ does.  A form built from coefficients may span at most ``MAX_LOAD_SITES``; its
 array is complex128 when every coefficient is a Python int, float or complex,
 else object, so the exact GaussianRational runs the same code.
 
-Every operator sums signed, shifted blade slices (:func:`_accumulate`) whose
-signs come from the blade product table of :mod:`dkjoyce.complex4`: d is the
-grade-raising part of sum_mu e_mu Delta+_mu, delta the grade-lowering part
-of sum_mu e_mu Delta-_mu, a cup sign is the Clifford sign of two disjoint
-blades, and the Hodge star sign follows from s cup *s = Q e.  A stencil of
-differences copies a form of either dtype once into a zero-padded hull and
-adds whole flat blade rows, one shift being one offset (:func:`_stencil_form`).
+Signs come from the blade product table of :mod:`dkjoyce.complex4`.  d, the
+grade-raising part of sum_mu e_mu Delta+_mu, delta, the grade-lowering part
+of sum_mu e_mu Delta-_mu, the plain differences and the sitewise blade
+products are route tables summed by one kernel (:func:`_stencil`); cup (its
+sign that of two disjoint blades), the Hodge star (s cup *s = Q e) and sums
+add signed, shifted blade slices (:func:`_accumulate`).
 """
 
 from __future__ import annotations
@@ -225,32 +224,39 @@ def _shifted(origin, dirs, step: int) -> MultiIndex:
     return tuple(o + step if mu in dirs else o for mu, o in enumerate(origin))
 
 
+def _hull(degree: int, boxes) -> tuple:
+    """Origin and shape of the hull of ``boxes``, (origin, shape) pairs.  A
+    hull past ``MAX_LOAD_SITES`` and the boxes' own size is not allocated."""
+    if len(boxes) == 1:
+        return boxes[0]
+    # placements in Python ints, which cannot wrap at the 64-bit edge
+    lo = tuple(map(min, *(o for o, _ in boxes)))
+    shape = tuple(map(operator.sub, map(max, *(
+        map(operator.add, o, n) for o, n in boxes)), lo))
+    if (box := math.prod(shape)) > MAX_LOAD_SITES \
+            and box > sum(math.prod(n) for _, n in boxes):
+        raise ValueError(f"degree-{degree} sum spans a box of {box} sites, "
+                         f"more than {MAX_LOAD_SITES}")
+    return lo, shape
+
+
 def _accumulate(degree: int, pieces) -> DiscreteForm:
-    """Sum of ``(blade, sign, origin, *factors)`` slices over their hull; a
-    slice is the product of its factor arrays, formed only when added.  A
-    hull past ``MAX_LOAD_SITES`` and the slices' own size is not allocated."""
+    """Sum of ``(blade, sign, origin, *factors)`` slices over their
+    :func:`_hull`; a slice is the product of its factor arrays, formed only
+    when added."""
     pieces = [p for p in pieces if p[3].size]
     if not pieces:
         return _ZERO[degree]
-    # placements in Python ints, which cannot wrap at the 64-bit edge
-    lo = tuple(map(min, zip(*(p[2] for p in pieces))))
-    hi = tuple(map(max, zip(*(map(operator.add, p[2], p[3].shape)
-                              for p in pieces))))
-    shape = tuple(map(operator.sub, hi, lo))
-    if (box := math.prod(shape)) > MAX_LOAD_SITES \
-            and box > sum(p[3].size for p in pieces):
-        raise ValueError(f"degree-{degree} sum spans a box of {box} sites, "
-                         f"more than {MAX_LOAD_SITES}")
-    dtype = object if any(a.dtype.hasobject for p in pieces for a in p[3:]) \
-        else complex
-    out = np.zeros((len(GRADE_BLADES[degree]),) + shape, dtype)
-    slots = [BLADE_SLOT[p[0]] for p in pieces]
+    lo, shape = _hull(degree, [(p[2], p[3].shape) for p in pieces])
+    out = np.zeros((len(GRADE_BLADES[degree]), *shape), object if any(
+        a.dtype.hasobject for p in pieces for a in p[3:]) else complex)
     l0, l1, l2, l3 = lo
-    for (_, sign, (o0, o1, o2, o3), a, *more), s in zip(pieces, slots):
+    for blade, sign, (o0, o1, o2, o3), a, *more in pieces:
         a = functools.reduce(operator.mul, more, a) if more else a
         n0, n1, n2, n3 = a.shape
         o0, o1, o2, o3 = o0 - l0, o1 - l1, o2 - l2, o3 - l3
-        view = out[s, o0:o0 + n0, o1:o1 + n1, o2:o2 + n2, o3:o3 + n3]
+        view = out[BLADE_SLOT[blade], o0:o0 + n0, o1:o1 + n1, o2:o2 + n2,
+                   o3:o3 + n3]
         if sign > 0:
             view += a
         else:
@@ -378,10 +384,8 @@ class Window:
 
 
 # ---------------------------------------------------------------------------
-# difference operators, coboundary and codifferential
-#
-# A stencil over routes ``dirs -> [(mu, sign, image blade)]`` adds
-# ``sign * Delta_mu`` of each blade slice onto its image blade.  A plain
+# difference operators, coboundary and codifferential: route tables
+# ``dirs -> [(mu, sign, image blade)]`` summed by one kernel.  A plain
 # difference keeps the blade; d and delta route by the products e_mu * dirs
 # that raise or lower the grade.
 
@@ -401,60 +405,75 @@ _LOWER = _routes(raising=False)
 _ALONG = [{dirs: [(mu, 1, dirs)] for dirs in ALL_BLADES} for mu in AXES]
 
 
-def _stencil_pieces(w: DiscreteForm, routes: dict, forward: bool) -> list:
-    """The :func:`_accumulate` pieces of a stencil over ``w``: one hull-sized
-    slice per image blade."""
-    f = _stencil_form(w, routes, forward)
-    return [] if f is None else [
-        (blade, 1, f.origin, f.data[s]) for s, blade in f.live()]
+def _stencil(*terms) -> InhomogeneousForm:
+    """The sum of the route tables ``terms``, each ``(w, routes, step)``:
+    every route ``(mu, sign, image)`` of a blade of ``w`` adds sign times the
+    blade's forward (``step`` -1) or backward (+1) difference along mu, or
+    (0) the blade itself, onto the image blade, in the order of the terms,
+    parts, blades and routes.  Each image grade is one array over the hull
+    of its sources.  A differenced source, widened by a site on its step side
+    along its axes, is copied once into a zero array of the hull, where a
+    shift is a stride offset in a flat blade row (what wraps reads zeros)."""
+    grades: list = [[], [], [], [], []]  # per grade: (part, step, routes)
+    for w, routes, step in terms:
+        for p in _parts(w):
+            by: dict = {}
+            for s, dirs in p.live():
+                for mu, sign, nd in routes.get(dirs, ()):
+                    by.setdefault(len(nd), []).append((s, mu, sign, nd))
+            for r, rs in by.items():
+                grades[r].append((p, step, rs))
+    return InhomogeneousForm([_routed(r, g) if g else _ZERO[r]
+                              for r, g in enumerate(grades)])
 
 
-def _stencil_form(w: DiscreteForm, routes: dict, forward: bool):
-    """The stencil over ``w``, whose routes share one image degree, as one
-    form; None if no route leaves a blade of ``w``."""
-    live = [(s, routes.get(dirs, ())) for s, dirs in w.live()]
-    if not (images := {nd for _, rs in live for _, _, nd in rs}):
-        return None
-    degree = len(min(images))
-    # w is copied once into the zero-padded hull of its shifts; a shift along
-    # mu is an offset by mu's stride in a flat blade row, what wraps reads
-    # padding.  Routes add in order, each at the origin and then shifted
-    step, axes = -1 if forward else 1, {r[0] for _, rs in live for r in rs}
-    shape = [n + (mu in axes) for mu, n in enumerate(w.data.shape[1:])]
-    pad = np.zeros((len(live), *shape), w.data.dtype)
-    at = [int(forward and mu in axes) for mu in AXES]
-    pad[(slice(None), *map(slice, at, map(operator.add, at, w.data.shape[
-        1:])))] = w.data
-    out = np.zeros((len(GRADE_BLADES[degree]), pad[0].size), w.data.dtype)
-    for (_, rs), a in zip(live, pad.reshape(len(live), -1)):
-        for mu, sign, nd in rs:
-            row, k = out[BLADE_SLOT[nd]], math.prod(shape[mu + 1:])
-            near = (row[:-k], a[k:]) if forward else (row[k:], a[:-k])
-            for view, b, x in ((row, a, sign * step), (*near, -sign * step)):
-                (np.add if x > 0 else np.subtract)(view, b, out=view)
-    return _form(degree, _shifted(w.origin, axes, min(step, 0)),
-                 out.reshape(-1, *shape))
+def _routed(degree: int, sources) -> DiscreteForm:
+    """The degree-``degree`` image of :func:`_stencil` from its sources
+    (part, step, [(slot, axis, sign, image blade)])."""
+    lo, shape = _hull(degree, [
+        (p.origin, p.data.shape[1:]) if not step else (
+            _shifted(p.origin, axes, min(step, 0)),
+            tuple(n + (mu in axes) for mu, n in enumerate(p.data.shape[1:])))
+        for p, step, rs in sources for axes in [{r[1] for r in rs}]])
+    out = np.zeros((len(GRADE_BLADES[degree]), *shape), object if any(
+        p.data.dtype.hasobject for p, _, _ in sources) else complex)
+    flat, pads = out.reshape(len(out), -1), {}
+    for p, step, rs in sources:
+        at = tuple(map(operator.sub, p.origin, lo))
+        at = tuple(map(slice, at, map(operator.add, at, p.data.shape[1:])))
+        if step and (a := pads.get(id(p))) is None:
+            pad = np.zeros((len(p.data), *shape), p.data.dtype)
+            pad[(slice(None), *at)] = p.data
+            a = pads[id(p)] = pad.reshape(len(pad), -1)
+        for s, mu, sign, nd in rs:
+            if step:
+                row, b = flat[BLADE_SLOT[nd]], a[s]
+                k = out.strides[mu + 1] // out.itemsize
+                near = (row[:-k], b[k:]) if step < 0 else (row[k:], b[:-k])
+                adds = ((row, b, sign * step), (*near, -sign * step))
+            else:
+                adds = ((out[(BLADE_SLOT[nd], *at)], p.data[s], sign),)
+            for view, c, x in adds:
+                (np.add if x > 0 else np.subtract)(view, c, out=view)
+    return _form(degree, lo, out)
 
 
-def _stencil(w, routes: dict, forward: bool, shift: int = 0):
-    """The stencil of every part of ``w``; a discrete form maps to degree +
-    ``shift``, clamped to 0..4 (where the image is zero)."""
-    parts = list(_ZERO)
-    for f in filter(None, (_stencil_form(p, routes, forward)
-                           for p in _parts(w))):
-        parts[f.degree] = f
-    return InhomogeneousForm(parts) if isinstance(w, InhomogeneousForm) \
-        else parts[min(max(w.degree + shift, 0), 4)]
+def _alone(w, routes: dict, step: int, shift: int = 0):
+    """The :func:`_stencil` of ``w``; of a discrete form, its part of degree
+    + ``shift``, clamped to 0..4 (where it is zero)."""
+    out = _stencil((w, routes, step))
+    return out if isinstance(w, InhomogeneousForm) \
+        else out.parts[min(max(w.degree + shift, 0), 4)]
 
 
 def forward_diff(w: DiscreteForm, mu: int) -> DiscreteForm:
     """Forward difference on every coefficient function, zero extension."""
-    return _stencil(w, _ALONG[mu], True)
+    return _alone(w, _ALONG[mu], -1)
 
 
 def backward_diff(w: DiscreteForm, mu: int) -> DiscreteForm:
     """Backward difference on every coefficient function, zero extension."""
-    return _stencil(w, _ALONG[mu], False)
+    return _alone(w, _ALONG[mu], 1)
 
 
 def coboundary(w):
@@ -463,7 +482,7 @@ def coboundary(w):
     Built from forward differences with alternating signs; dual to the
     chain boundary under the pairing.
     """
-    return _stencil(w, _RAISE, True, 1)
+    return _alone(w, _RAISE, -1, 1)
 
 
 def codifferential(w):
@@ -471,7 +490,7 @@ def codifferential(w):
 
     Built from backward differences; independent of the overall metric sign.
     """
-    return _stencil(w, _LOWER, False, -1)
+    return _alone(w, _LOWER, 1, -1)
 
 
 # ---------------------------------------------------------------------------

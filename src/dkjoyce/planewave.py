@@ -29,9 +29,9 @@ import numpy as np
 
 from .complex4 import _BLADE_TABLE, AXES, GRADE_BLADES, MultiIndex
 from .forms import MAX_LOAD_SITES, DiscreteForm, InhomogeneousForm, Window, \
-    _ALONG, _accumulate, _assemble, _stencil_pieces
-from .clifford import _blade_pieces, blade_product
-from .dirac_joyce import ResidualReport, _dirac_pieces, _require_even, \
+    _ALONG, _accumulate, _assemble, _stencil
+from .clifford import _blade_term, blade_product
+from .dirac_joyce import ResidualReport, _dirac_terms, _require_even, \
     check_mass, joyce_residual_form
 
 Momentum = Tuple[float, float, float, float]
@@ -172,9 +172,9 @@ def eigen_difference_check(label: str, p: Momentum, win: Window) -> float:
     """
     psi = psi_form(label, p, win)
     minus = LABEL_BLADES[label]
-    return float(np.max([ResidualReport.from_form(_accumulate(0, (
-        _stencil_pieces(psi, _ALONG[mu], mu not in minus)
-        + _blade_pieces(psi, (), True, -1j * p[mu]))), win).interior_max
+    return float(np.max([ResidualReport.from_form(_stencil(
+        (psi, _ALONG[mu], 1 if mu in minus else -1),
+        _blade_term(psi, (), True, -1j * p[mu])), win).interior_max
         for mu in AXES]))
 
 
@@ -189,10 +189,9 @@ def build_phi(A: EvenAmplitudes, p: Momentum, win: Window) -> InhomogeneousForm:
 def eigen_relation_residual(Phi: InhomogeneousForm, p: Momentum,
                             win: Window) -> float:
     """Interior max-norm of (d + delta)Phi - i (sum_mu p_mu e_mu) Phi."""
-    return ResidualReport.from_form(_assemble(_dirac_pieces(Phi) + [
-        x for mu in AXES if p[mu] != 0
-        for x in _blade_pieces(Phi, (mu,), True, -1j * p[mu])]),
-        win).interior_max
+    return ResidualReport.from_form(_stencil(*_dirac_terms(Phi), *(
+        _blade_term(Phi, (mu,), True, -1j * p[mu])
+        for mu in AXES if p[mu] != 0)), win).interior_max
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +297,9 @@ def split_even(Phi: InhomogeneousForm):
 def _constraint(which: str, Phi: InhomogeneousForm, p: Momentum,
                 m: float) -> InhomogeneousForm:
     q = _denominator(which, p, m)
-    return _assemble([x for j in (1, 2, 3) if p[j] != 0
-                      for x in _blade_pieces(Phi, (0, j), True,
-                                             FAMILY_SIGN[which] * p[j] / q)])
+    return _stencil(*(_blade_term(Phi, (0, j), True,
+                                  FAMILY_SIGN[which] * p[j] / q)
+                      for j in (1, 2, 3) if p[j] != 0))
 
 
 def constraint_minus_from_plus(PhiPlus: InhomogeneousForm, p: Momentum,

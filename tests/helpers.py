@@ -281,21 +281,21 @@ def family_residual_oracle(which, coeffs, p, m, win: Window):
 
 
 # ---------------------------------------------------------------------------
-# the per-slice stencil: the oracle of the flat kernel forms._stencil_form
+# the per-slice stencil: the oracle of the flat kernel forms._stencil
 
-def stencil_per_slice(w: DiscreteForm, routes, forward):
-    """What ``forms._stencil_form`` computes, as two blade slices per route
-    summed by ``forms._accumulate``; None if no route leaves a blade of
-    ``w``."""
-    # forward: f(k + e_mu) - f(k) at k, so f(k) lands at k and k - e_mu;
-    # backward: f(k) - f(k - e_mu) at k, so f(k) lands at k and k + e_mu
-    step = -1 if forward else 1
-    pieces = [p for s, dirs in w.live()
-              for mu, sign, nd in routes.get(dirs, ())
-              for p in ((nd, sign * step, w.origin, w.data[s]),
-                        (nd, -sign * step,
-                         forms._shifted(w.origin, (mu,), step), w.data[s]))]
-    return forms._accumulate(len(pieces[0][0]), pieces) if pieces else None
+def stencil_per_slice(terms):
+    """What ``forms._stencil(*terms)`` computes, as blade slices summed by
+    ``forms._assemble`` in the kernel's order (terms, parts, blades,
+    routes): two slices per differenced route, one per sitewise route."""
+    # forward (step -1): f(k + e_mu) - f(k) at k, so f(k) lands at k and
+    # k - e_mu; backward (+1): f(k) - f(k - e_mu) at k, so f(k) lands at k
+    # and k + e_mu
+    return forms._assemble([
+        piece for w, routes, step in terms for v in forms._parts(w)
+        for s, dirs in v.live() for mu, sign, nd in routes.get(dirs, ())
+        for piece in (((nd, sign * step, v.origin, v.data[s]), (
+            nd, -sign * step, forms._shifted(v.origin, (mu,), step),
+            v.data[s])) if step else ((nd, sign, v.origin, v.data[s]),))])
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,9 @@ from dkjoyce import (
     records_to_form,
     star_d_star,
 )
-from dkjoyce import complex4, forms
+from dkjoyce import clifford, complex4, forms
 from dkjoyce.complex4 import AXES, tau_all
-from dkjoyce.dirac_joyce import DK_SYSTEM
+from dkjoyce.dirac_joyce import DK_SYSTEM, JOYCE_RHS
 from dkjoyce.forms import MAX_LOAD_SITES, STAR_SIGN, _form
 from dkjoyce.planewave import FAMILY_SIGN
 
@@ -454,6 +454,16 @@ def test_far_apart_sums_hit_the_box_bound(monkeypatch):
     assert coboundary(w).data.shape == (4, 3, 3, 3, 3)
     with pytest.raises(ValueError, match="more than 16"):
         w + DiscreteForm.basis((2, 2, 2, 2), ())
+    # two far-apart sources of one image grade: the grade-1 image of d + delta
+    # takes d of the 0-form and delta of the 2-form
+    monkeypatch.undo()
+    O = InhomogeneousForm([DiscreteForm.basis((0, 0, 0, 0), ()),
+                           DiscreteForm.zero(1),
+                           DiscreteForm.basis((10 ** 4,) * 4, (0, 1)),
+                           DiscreteForm.zero(3), DiscreteForm.zero(4)])
+    for residual in (decomposition, lambda O: dk_system_residual(O, 1.0)):
+        with pytest.raises(ValueError, match=f"more than {MAX_LOAD_SITES}"):
+            residual(O)
 
 
 @pytest.mark.filterwarnings("error")
@@ -533,13 +543,14 @@ def _scalars(exact):
 
 
 @st.composite
-def _forms(draw, degree, exact):
+def _forms(draw, degree, exact, far=True):
     """A sparse form near the origin, with negative indices, and now and
-    then one site far out along one axis (the box then spans the gap)."""
+    then (if ``far``) one site far out along one axis (the box then spans
+    the gap)."""
     keys = draw(st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * 4),
                                    st.sampled_from(AXIS_SETS[degree])),
                          min_size=1, max_size=6))
-    if draw(st.booleans()):
+    if far and draw(st.booleans()):
         (k, dirs), mu = keys[-1], draw(st.sampled_from(AXES))
         far = k[mu] + draw(st.sampled_from((-20, 20)))
         keys[-1] = (k[:mu] + (far,) + k[mu + 1:], dirs)
@@ -547,7 +558,7 @@ def _forms(draw, degree, exact):
 
 
 def _push_routes(kind):
-    """The routes of ``_push_diffs`` over every DK_SYSTEM row, of ``kind``."""
+    """The routes of the table path over every DK_SYSTEM row, of ``kind``."""
     routes = {}
     for target, terms in DK_SYSTEM.items():
         for sign, k, mu, src in terms:
@@ -556,75 +567,110 @@ def _push_routes(kind):
     return routes
 
 
-#: every route table a stencil runs on
+#: every route table a stencil differences on
 ROUTE_TABLES = {
     "raise": forms._RAISE, "lower": forms._LOWER,
     **{f"along {mu}": forms._ALONG[mu] for mu in AXES},
     "chain boundary": complex4._BOUNDARY,
     "push +": _push_routes("+"), "push -": _push_routes("-"),
 }
+#: sitewise route tables: blade products and the Joyce table's mass term
+SITEWISE = {
+    **{f"{side} {blade}": clifford._blade_term(None, blade, side == "left")[1]
+       for side in ("left", "right") for blade in ((), (0,), (1, 3), AXES)},
+    "joyce rhs": {src: [(None, -sign, target)]
+                  for target, (sign, src) in JOYCE_RHS.items()},
+}
 SPECIAL = [complex("nan"), complex("inf"), complex(0, -np.inf),
            complex(np.inf, np.nan), complex(-np.inf, 1)]
 
 
 @st.composite
-def _stencil_sources(draw):
-    """A complex or an exact form, sparse, empty or on one site, and whether
-    it is exact.  A complex one has its box now and then filled, its values
-    scaled to magnitudes 1e-8..1e8 so that the order of a sum shows in its
-    rounding, and now and then an entry of its box (zero or not) NaN or
-    infinite."""
-    exact, degree = draw(st.booleans()), draw(st.integers(0, 4))
+def _stencil_sources(draw, exact, degree, reach=40):
+    """A complex or an exact form, sparse, empty or on one site, its sites
+    at most ``reach`` from the origin along each axis.  A complex one has
+    its box now and then filled, its values scaled to magnitudes 1e-8..1e8
+    so that the order of a sum shows in its rounding, and now and then an
+    entry of its box (zero or not) NaN or infinite."""
     kind = draw(st.sampled_from(["sparse", "empty", "one site"]))
     if kind == "empty":
         w = DiscreteForm.zero(degree)
     elif kind == "one site":
-        w = DiscreteForm.basis(draw(st.tuples(*[st.integers(-40, 40)] * 4)),
-                               draw(st.sampled_from(AXIS_SETS[degree])),
-                               draw(_scalars(exact))
-                               or (GaussianRational(1) if exact else 1))
+        w = DiscreteForm.basis(
+            draw(st.tuples(*[st.integers(-reach, reach)] * 4)),
+            draw(st.sampled_from(AXIS_SETS[degree])),
+            draw(_scalars(exact)) or (GaussianRational(1) if exact else 1))
     else:
-        w = draw(_forms(degree, exact))
+        w = draw(_forms(degree, exact, reach > 3))
     if exact:  # an empty box, too, as an object array
-        return _form(degree, w.origin, w.data.astype(object)), True
+        return _form(degree, w.origin, w.data.astype(object))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
     data = w.data + draw(st.booleans()) * rng.uniform(-1, 1, w.data.shape)
     data *= 10.0 ** rng.integers(-8, 9, w.data.shape)
     for i in draw(st.lists(st.integers(0, data.size - 1), max_size=3)) \
             if data.size else ():
         data.reshape(-1)[i] = draw(st.sampled_from(SPECIAL))
-    return _form(degree, w.origin, data), False
+    return _form(degree, w.origin, data)
+
+
+@st.composite
+def _stencil_calls(draw):
+    """The terms of a kernel call and whether its sources are exact: one
+    source under one differenced or sitewise table, or a call shaped like
+    ``dk_residual``, the forward raise and backward lower of one source and
+    a sitewise table of a second source on other boxes, all near the
+    origin so that each grade's hull stays small."""
+    exact = draw(st.booleans())
+    if draw(st.booleans()):
+        w = draw(_stencil_sources(exact, draw(st.integers(0, 4))))
+        step = draw(st.sampled_from((-1, 0, 1)))
+        tables = ROUTE_TABLES if step else SITEWISE
+        return [(w, tables[draw(st.sampled_from(sorted(tables)))], step)], \
+            exact
+    O, P = (InhomogeneousForm([draw(_stencil_sources(exact, r, 3))
+                               for r in range(5)]) for _ in range(2))
+    table = SITEWISE[draw(st.sampled_from(sorted(SITEWISE)))]
+    return [(O, forms._RAISE, -1), (O, forms._LOWER, 1), (P, table, 0)], \
+        exact
+
+
+def _as_object(w):
+    """``w`` with each part's array cast to Python objects."""
+    return InhomogeneousForm([_form(p.degree, p.origin, p.data.astype(object))
+                              for p in w.parts]) \
+        if isinstance(w, InhomogeneousForm) \
+        else _form(w.degree, w.origin, w.data.astype(object))
 
 
 @settings(max_examples=200, deadline=None)
-@given(_stencil_sources(), st.sampled_from(sorted(ROUTE_TABLES)),
-       st.booleans())
-def test_stencil_kernel_equals_the_per_slice_path(case, table, forward):
-    # the flat kernel against the per-slice oracle: the same origin and box;
-    # on exact values the same coefficients, each nonzero one exact; on
-    # complex values, with the oracle run on them as Python complex objects,
-    # bit for bit the same coefficients, NaN where the other has NaN
-    w, exact = case
-    routes = ROUTE_TABLES[table]
+@given(_stencil_calls())
+def test_stencil_kernel_equals_the_per_slice_path(call):
+    # the flat kernel against the per-slice oracle, grade by grade: the same
+    # origin and box; on exact values the same coefficients, each nonzero
+    # one exact; on complex values, with the oracle run on them as Python
+    # complex objects, bit for bit the same coefficients, NaN where the
+    # other has NaN
+    terms, exact = call
     with np.errstate(invalid="ignore"):  # inf - inf
-        got = forms._stencil_form(w, routes, forward)
-        want = stencil_per_slice(w if exact else _form(
-            w.degree, w.origin, w.data.astype(object)), routes, forward)
-    if want is None:
-        assert got is None
-        return
-    assert (got.degree, got.origin, got.data.shape) \
-        == (want.degree, want.origin, want.data.shape)
-    assert want.data.dtype == object
-    if exact:
-        assert got.data.dtype == object and got == want
-        assert all(isinstance(c, GaussianRational) for _, c in got.items())
-        return
-    assert got.data.dtype == complex
-    a, b = got.data.view(float), want.data.astype(complex).view(float)
-    nan = np.isnan(a)
-    assert (nan == np.isnan(b)).all()
-    assert (a.view(np.uint64)[~nan] == b.view(np.uint64)[~nan]).all()
+        got = forms._stencil(*terms)
+        want = stencil_per_slice([(w if exact else _as_object(w), routes, step)
+                                  for w, routes, step in terms])
+    for g, h in zip(got.parts, want.parts):
+        if not h.data.size:  # no route reaches this grade
+            assert not g.data.size
+            continue
+        assert (g.degree, g.origin, g.data.shape) \
+            == (h.degree, h.origin, h.data.shape)
+        assert h.data.dtype == object
+        if exact:
+            assert g.data.dtype == object and g == h
+            assert all(isinstance(c, GaussianRational) for _, c in g.items())
+            continue
+        assert g.data.dtype == complex
+        a, b = g.data.view(float), h.data.astype(complex).view(float)
+        nan = np.isnan(a)
+        assert (nan == np.isnan(b)).all()
+        assert (a.view(np.uint64)[~nan] == b.view(np.uint64)[~nan]).all()
 
 
 @st.composite
