@@ -434,17 +434,3 @@ class PlaneWaveSpec:
         coeffs = [a[label] for label in FAMILY_LABELS[self.family]]
         build = family_plus if self.family == "plus" else family_minus
         return build(coeffs, self.p, self.m, win)
-
-
-def family_amplitude_matrix(which: str, p: Momentum, m: float) -> np.ndarray:
-    """8x4 matrix taking family coefficients to blade amplitudes.
-
-    Built from the amplitude patterns alone (the shared wave factor of each
-    column divided out); used for rank and amplitude-equivalence checks.
-    """
-    row = {LABEL_BLADES[lab]: i for i, lab in enumerate(WAVE_LABELS)}
-    M = np.zeros((8, 4), dtype=complex)
-    for j, (_label, combo) in enumerate(_family_terms(which, p, m)):
-        for blade, coef in combo:
-            M[row[blade], j] += coef
-    return M

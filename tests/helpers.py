@@ -42,11 +42,7 @@ from dkjoyce.complex4 import AXES, tau_all
 from dkjoyce.dirac_joyce import (DK_SYSTEM, JOYCE_RHS, JOYCE_TARGETS,
                                  _require_even, check_mass)
 from dkjoyce.forms import _form, _rows, _scatter
-from dkjoyce.planewave import (
-    LABEL_BLADES,
-    WAVE_LABELS,
-    family_amplitude_matrix,
-)
+from dkjoyce.planewave import LABEL_BLADES, WAVE_LABELS, _family_terms
 from dkjoyce.serialize import FIELDS, SchemaError
 
 AXIS_SETS = {
@@ -167,6 +163,20 @@ def transcribed_amplitude_matrix(p, m):
 
 # ---------------------------------------------------------------------------
 # closed-form Joyce residual of the wave families
+
+def family_amplitude_matrix(which: str, p, m: float) -> np.ndarray:
+    """8x4 matrix taking family coefficients to blade amplitudes.
+
+    Built from the amplitude patterns alone (the shared wave factor of each
+    column divided out); used for rank and amplitude-equivalence checks.
+    """
+    row = {LABEL_BLADES[lab]: i for i, lab in enumerate(WAVE_LABELS)}
+    M = np.zeros((8, 4), dtype=complex)
+    for j, (_label, combo) in enumerate(_family_terms(which, p, m)):
+        for blade, coef in combo:
+            M[row[blade], j] += coef
+    return M
+
 
 #: wave label carried by each column of ``family_amplitude_matrix``
 FAMILY_LABELS = {"plus": ("0", "12", "13", "23"),

@@ -54,9 +54,9 @@ from dkjoyce import (
     derive_amplitude_matrix,
 )
 from dkjoyce.complex4 import AXES, tau_all
-from dkjoyce.planewave import family_amplitude_matrix
 
 from helpers import (
+    family_amplitude_matrix,
     family_residual_oracle,
     margin_form,
     rand_complex,

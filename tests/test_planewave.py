@@ -33,10 +33,11 @@ from dkjoyce import (
     wave_component,
 )
 from dkjoyce.planewave import (FAMILY_LABELS, LABEL_BLADES, WAVE_LABELS,
-                               family_amplitude_matrix, largest_wave_modulus)
+                               largest_wave_modulus)
 
 import helpers
-from helpers import family_symbols, rand_complex, rng_for
+from helpers import family_amplitude_matrix, family_symbols, rand_complex, \
+    rng_for
 
 M = 1.0
 
