@@ -601,7 +601,7 @@ def _stencil_sources(draw, exact, degree, reach=40):
             draw(st.sampled_from(AXIS_SETS[degree])),
             draw(_scalars(exact)) or (GaussianRational(1) if exact else 1))
     else:
-        w = draw(_forms(degree, exact, reach > 3))
+        w = draw(_forms(degree, exact, far=reach > 3))
     if exact:  # an empty box, too, as an object array
         return _form(degree, w.origin, w.data.astype(object))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))

@@ -63,6 +63,9 @@ def operators(n: int) -> list:
         ("dk_residual", lambda: dk.dk_residual(O, m, win), [O]),
         ("joyce_residual_form (even)", lambda: dk.joyce_residual_form(Oev, m),
          [Oev]),
+        ("dk_system_residual", lambda: dk.dk_system_residual(O, m), [O]),
+        ("joyce_system_residual (even)",
+         lambda: dk.joyce_system_residual(Oev, m), [Oev]),
         ("eigen_relation_residual (even)",
          lambda: dk.eigen_relation_residual(Oev, p, win), [Oev]),
         ("psi_form", lambda: dk.psi_form("01", p, win), None),
