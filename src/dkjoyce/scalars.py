@@ -1,124 +1,133 @@
 """Exact Gaussian-rational scalars.
 
-The float API of the library works with ordinary ``complex`` coefficients.
-For zero-tolerance identity checks the test suite runs the same operators
-over :class:`GaussianRational`, a complex number with ``Fraction`` real and
-imaginary parts.  All operators touch coefficients only through ring
-operations (+, -, *), so they are generic over the two scalar types.
+The float API of the library works with ``complex`` coefficients; the exact
+identity checks run the same operators, which use only +, -, * and so are
+generic over both, on :class:`GaussianRational`.  It holds (a + b*i)/d as
+three Python ints in canonical form, d > 0, gcd(a, b, d) == 1 and zero
+(0, 0, 1), so each operation is integer arithmetic and one gcd.  It hashes
+by ``complex``'s rule, hence like an equal int, ``Fraction``, float or complex.
 """
 
-from __future__ import annotations
-
+import sys
 from fractions import Fraction
+from math import gcd
 
 
-def _frac(x) -> Fraction:
-    # floats convert exactly (every float is a dyadic rational)
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _make(a, b, d):
+    """The canonical (a + b*i)/d; d > 0."""
+    g = gcd(a, b, d)
+    z = _new(GaussianRational)
+    z._a, z._b, z._d = (a, b, d) if g == 1 else (a // g, b // g, d // g)
+    return z
+
+
+def _coerce(x):
+    if isinstance(x, (int, Fraction)):
+        n, d = x.as_integer_ratio()
+        return _make(n, 0, d) if n else _ZERO
+    if isinstance(x, (float, complex)):
+        return GaussianRational(complex(x).real, complex(x).imag)
+    return None
+
+
+def _sum(x, y, s):
+    """x + s*y, s = 1 or -1; zero operands are common (zero-padded boxes)."""
+    if not (y._a or y._b):
+        return x
+    if not (x._a or x._b):
+        return y if s == 1 else -y
+    if x._d == y._d:
+        return _make(x._a + s * y._a, x._b + s * y._b, x._d)
+    return _make(x._a * y._d + s * y._a * x._d,
+                 x._b * y._d + s * y._b * x._d, x._d * y._d)
 
 
 class GaussianRational:
     """A complex number a + b*i with rational a, b, under exact arithmetic.
 
-    Mixed arithmetic with ``int``, ``Fraction`` and ``complex`` is supported;
-    a ``complex`` operand is converted exactly via ``Fraction(float)``, which
-    keeps expressions like ``1j * w`` exact.
+    An int, ``Fraction``, float or complex operand converts exactly (floats
+    are dyadic rationals), which keeps expressions like ``1j * w`` exact.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+    def __new__(cls, re=0, im=0):
+        if not isinstance(re, (int, float, Fraction)):
+            re = Fraction(re)
+        if not isinstance(im, (int, float, Fraction)):
+            im = Fraction(im)
+        (ra, rd), (ia, id_) = re.as_integer_ratio(), im.as_integer_ratio()
+        return _make(ra * id_, ia * rd, rd * id_)
 
-    @classmethod
-    def _coerce(cls, x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x, 0) if x else _ZERO
-        if isinstance(x, (float, complex)):
-            return cls(_frac(complex(x).real), _frac(complex(x).imag))
-        return None
+    re = property(lambda self: Fraction(self._a, self._d), doc="real part")
+    im = property(lambda self: Fraction(self._b, self._d), doc="imag part")
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o or not self:
-            # zero operands are common: form boxes are zero-padded
-            return o if o else self
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        o = other if type(other) is GaussianRational else _coerce(other)
+        return NotImplemented if o is None else _sum(self, o, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o:
-            return self
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        o = other if type(other) is GaussianRational else _coerce(other)
+        return NotImplemented if o is None else _sum(self, o, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self:
-            return o
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        o = _coerce(other)
+        return NotImplemented if o is None else _sum(o, self, -1)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        if not self or not o:
+        a, b, c, e = self._a, self._b, o._a, o._b
+        if not (a or b) or not (c or e):
             return _ZERO
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        return _make(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else _coerce(other)
         if o is None:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        a, b, c, e = self._a, self._b, o._a, o._b
+        if not (c or e):
+            raise ZeroDivisionError("GaussianRational division by zero")
+        return _make((a * c + b * e) * o._d, (b * c - a * e) * o._d,
+                     self._d * (c * c + e * e))
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def __abs__(self):
         return abs(complex(self))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int true division is correctly rounded, as Fraction.__float__ is
+        return complex(self._a / self._d, self._b / self._d)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        o = other if type(other) is GaussianRational else _coerce(other)
+        return NotImplemented if o is None else (
+            self._a == o._a and self._b == o._b and self._d == o._d)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # complex's rule: wrapped to a signed word; hash() maps -1 to -2
+        w = 1 << sys.hash_info.width
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) % w
+        return h - w if 2 * h >= w else h
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
+_new = object.__new__
 _ZERO = GaussianRational()
-
-#: exact imaginary unit
-I = GaussianRational(0, 1)
+I = GaussianRational(0, 1)  #: exact imaginary unit

@@ -1,5 +1,5 @@
 """Shared test helpers: seeded random forms over both scalar types, the
-closed-form Joyce residual of the plane-wave families, the transcribed
+(Fraction, Fraction) pair oracle of the exact scalar, the closed-form Joyce residual of the plane-wave families, the transcribed
 amplitude system and family patterns, and the one-coefficient-at-a-time
 oracles of the box paths: the per-slice stencil, the row-by-row record
 loader, the dict chains and the dict table systems, and the
@@ -8,6 +8,9 @@ batches."""
 
 import itertools
 import math
+import operator
+import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -56,6 +59,43 @@ def rand_complex(rng):
 
 def rand_gaussian(rng):
     return GaussianRational(int(rng.integers(-9, 10)), int(rng.integers(-9, 10)))
+
+
+# ---------------------------------------------------------------------------
+# the exact scalar's oracle: a (re, im) pair of Fractions under the textbook
+# complex formulas, with no common denominator and no hand-made reduction
+
+def exact_pair(x):
+    """The (re, im) Fraction pair of an int, bool, Fraction, float or
+    complex, exactly (floats are dyadic rationals)."""
+    if isinstance(x, complex):
+        return Fraction(x.real), Fraction(x.imag)
+    return Fraction(x), Fraction(0)
+
+
+def pair_op(op, x, y):
+    """``op`` (operator.add, sub, mul or truediv) on two pairs."""
+    (a, b), (c, e) = x, y
+    if op is operator.add:
+        return a + c, b + e
+    if op is operator.sub:
+        return a - c, b - e
+    if op is operator.mul:
+        return a * c - b * e, a * e + b * c
+    n = c * c + e * e
+    if not n:
+        raise ZeroDivisionError("division by zero")
+    return (a * c + b * e) / n, (b * c - a * e) / n
+
+
+def pair_hash(x):
+    """``complex``'s hash rule on a pair: hash(re) + imag * hash(im), as a
+    signed machine word, with -1 (the C error value) read as -2."""
+    width = sys.hash_info.width
+    h = (hash(x[0]) + sys.hash_info.imag * hash(x[1])) % (1 << width)
+    h = int.from_bytes(h.to_bytes(width // 8, "little"), "little",
+                       signed=True)
+    return -2 if h == -1 else h
 
 
 def random_form(rng, degree, win: Window, scalar=rand_complex, density=1.0):
