@@ -1,10 +1,10 @@
 """Shared test helpers: seeded random forms over both scalar types, the
-(Fraction, Fraction) pair oracle of the exact scalar, the closed-form Joyce residual of the plane-wave families, the transcribed
-amplitude system and family patterns, and the one-coefficient-at-a-time
-oracles of the box paths: the per-slice stencil, the row-by-row record
-loader, the dict chains and the dict table systems, and the
-one-case-at-a-time loops of the identity checks that run their cases in
-batches."""
+(Fraction, Fraction) pair oracle of the exact scalar, the closed-form Joyce
+residual of the plane-wave families, the transcribed amplitude system and
+family patterns, and the one-coefficient-at-a-time oracles of the box
+paths: the per-slice stencil, the row-by-row record loader, the dict chains
+and the dict table systems, and the one-case-at-a-time loops of the identity
+checks that run their cases in batches."""
 
 import itertools
 import math
@@ -74,7 +74,8 @@ def exact_pair(x):
 
 
 def pair_op(op, x, y):
-    """``op`` (operator.add, sub, mul or truediv) on two pairs."""
+    """``op`` (operator.add, sub, mul or truediv) on two pairs; division by
+    a zero pair raises ZeroDivisionError."""
     (a, b), (c, e) = x, y
     if op is operator.add:
         return a + c, b + e
@@ -83,8 +84,6 @@ def pair_op(op, x, y):
     if op is operator.mul:
         return a * c - b * e, a * e + b * c
     n = c * c + e * e
-    if not n:
-        raise ZeroDivisionError("division by zero")
     return (a * c + b * e) / n, (b * c - a * e) / n
 
 

@@ -134,8 +134,9 @@ def test_a_long_chain_keeps_the_oracle_denominator(seed):
 
 
 def test_arithmetic_builds_no_fraction(monkeypatch):
-    operands = [GaussianRational(Fraction(1, 3), Fraction(-2, 7)), 0, 2, True,
-                Fraction(5, 6), 0.375, -1.5 + 0.25j, GaussianRational()]
+    g = GaussianRational(Fraction(1, 3), Fraction(-2, 7))
+    operands = [g, GaussianRational(), 0, 2, True, Fraction(5, 6), 0.375,
+                -1.5 + 0.25j]
     made = []
     new = Fraction.__new__
 
@@ -144,11 +145,12 @@ def test_arithmetic_builds_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    g = operands[0]
+    results = [-g, g.conjugate(), bool(g)]
     for x in operands:
-        g + x, x + g, g - x, x - g, g * x, x * g, g == x, x == g, -g, bool(g)
+        for op in (operator.add, operator.sub, operator.mul, operator.eq):
+            results += [op(g, x), op(x, g)]
         if x:
-            g / x
+            results.append(g / x)
     monkeypatch.undo()
     assert made == []
 
